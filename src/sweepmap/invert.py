@@ -11,29 +11,34 @@ The pipeline runs in three stages on a Dyck path ``D``:
 Both algorithms log every move into a trace, and the facts their correctness
 proofs rely on are re-checked at runtime as they go.  The ``checks`` argument
 selects what happens when such a fact fails: ``"error"`` raises
-:class:`~sweepmap.errors.InvariantViolation`, ``"panic"`` raises
-``AssertionError``, ``"off"`` skips the checks.  On valid input the checks
-can never fire; they exist to turn latent bugs into loud ones.
+:class:`~sweepmap.errors.InvariantViolation`, ``"off"`` skips the checks.  On
+valid input the checks can never fire; they exist to turn latent bugs into
+loud ones.
+
+Cost: a balancing move is O(log n) (a heap of positive rows and a bisection
+of the sorted ranks) and a labeling round is O(n) (one pointer per height).
+Row counting and balancing still work one unit row and one unit move at a
+time, so both stages remain linear in the step magnitudes |b|.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from heapq import heapify, heappop, heappush
+from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation, PreconditionError, StepLimitExceeded
 from .paths import Path, PathDiagram, connected_diagram, is_balanced, minimal_diagram, row_counts
 from .schedules import REVERSE, PermSchedule
 
-CHECK_MODES = ("panic", "error", "off")
+CHECK_MODES = ("error", "off")
 
 
-def _check(condition: bool, mode: str, message: str) -> None:
-    if mode == "off" or condition:
-        return
-    if mode == "panic":
-        raise AssertionError(message)
-    raise InvariantViolation(message)
+def _check(condition: bool, mode: str, message: str, *args) -> None:
+    """Raise unless ``condition`` holds; ``message % args`` is built only then."""
+    if not condition and mode != "off":
+        raise InvariantViolation(message % args)
 
 
 def _validate_mode(mode: str) -> str:
@@ -42,8 +47,7 @@ def _validate_mode(mode: str) -> str:
     return mode
 
 
-@dataclass(frozen=True)
-class VibMove:
+class VibMove(NamedTuple):
     """One arrow raise: 1-based ``column`` left row ``row``, rank ``before -> after``."""
 
     step: int
@@ -53,13 +57,7 @@ class VibMove:
     after: int
 
     def as_record(self) -> dict:
-        return {
-            "step": self.step,
-            "row": self.row,
-            "column": self.column,
-            "before": self.before,
-            "after": self.after,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -173,6 +171,10 @@ def vib(
     # Rows currently below zero; a count may rise out of this set but a row
     # that has ever been >= 0 must never drop below zero again.
     still_negative = {j for j, c in counts.items() if c < 0}
+    # Min-heap holding every positive row; rows no longer positive are
+    # dropped lazily when they reach the top.
+    positive = [j for j, c in counts.items() if c > 0]
+    heapify(positive)
     cap = default_step_cap(diagram) if step_cap is None else step_cap
     moves: list[VibMove] = []
 
@@ -181,24 +183,25 @@ def vib(
         counts[row] = value
         if value >= 0:
             still_negative.discard(row)
+            if delta > 0 and value == 1:  # just turned positive
+                heappush(positive, row)
         else:
             _check(
                 row in still_negative,
                 mode,
-                f"row {row} count dropped below zero after having been nonnegative",
+                "row %d count dropped below zero after having been nonnegative",
+                row,
             )
 
-    while True:
-        positive = [j for j, c in counts.items() if c > 0]
-        if not positive:
-            break
-        row = min(positive)
-        column = None
-        for i in range(n - 1, -1, -1):
-            if ranks[i] == row:
-                column = i
-                break
-        if column is None:
+    while positive:
+        row = positive[0]
+        if counts[row] <= 0:
+            heappop(positive)
+            continue
+        # Ranks stay weakly increasing, so the rightmost arrow starting at
+        # ``row`` is the last one not above it.
+        column = bisect_right(ranks, row) - 1
+        if column < 0 or ranks[column] != row:
             # Provably impossible while a positive row exists; the loop
             # cannot continue, so this is a hard error in every mode.
             raise InvariantViolation(
@@ -214,15 +217,14 @@ def vib(
         _check(
             column == n - 1 or ranks[column] <= ranks[column + 1],
             mode,
-            f"raising column {column + 1} broke the weakly increasing order",
+            "raising column %d broke the weakly increasing order",
+            column + 1,
         )
         b = steps[column]
         if b != 0:
             bump(row, -1)
             bump(row + b, +1)
-        moves.append(
-            VibMove(step=len(moves) + 1, row=row, column=column + 1, before=before, after=before + 1)
-        )
+        moves.append(VibMove(len(moves) + 1, row, column + 1, before, before + 1))
 
     _check(
         all(c == 0 for c in counts.values()),
@@ -284,6 +286,9 @@ def hpath(
         zero_columns = [i for i in range(n) if ranks[i] == 0]
         k = len(zero_columns)
         inverse = schedule.inverse_perm(k)
+        # The columns of one height form a contiguous block, labeled from its
+        # right end, so one pointer per height tracks its rightmost unlabeled.
+        rightmost = {r: c for c, r in enumerate(ranks)}
         labeled = [False] * n
         label_order: list[int] = []
         labels: list[HPathLabel] = []
@@ -305,13 +310,11 @@ def hpath(
                         f"height-zero selection landed on already-labeled column {j + 1}"
                     )
             else:
-                j = next(
-                    (c for c in range(n - 1, -1, -1) if not labeled[c] and ranks[c] == level),
-                    -1,
-                )
-                if j < 0:
+                j = rightmost.get(level, -1)
+                if j < 0 or ranks[j] != level:
                     stuck = True
                     break
+                rightmost[level] = j - 1
             labeled[j] = True
             label_order.append(j)
             labels.append(
@@ -328,7 +331,7 @@ def hpath(
             return preimage, HPathTrace(rounds=tuple(rounds))
 
         # Stuck state: everything the structure theory promises, re-checked.
-        _check(level == 0, mode, f"labeling walk stranded at height {level}, not zero")
+        _check(level == 0, mode, "labeling walk stranded at height %d, not zero", level)
         _check(
             all(labeled[c] for c in zero_columns),
             mode,

@@ -69,7 +69,7 @@ class Path:
     steps: tuple[int, ...]
 
     def __init__(self, steps: Iterable[int] = ()) -> None:
-        object.__setattr__(self, "steps", tuple(operator.index(b) for b in steps))
+        object.__setattr__(self, "steps", tuple(map(operator.index, steps)))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -161,8 +161,8 @@ class PathDiagram:
     ranks: tuple[int, ...]
 
     def __init__(self, steps: Iterable[int], ranks: Iterable[int]) -> None:
-        object.__setattr__(self, "steps", tuple(operator.index(b) for b in steps))
-        object.__setattr__(self, "ranks", tuple(operator.index(r) for r in ranks))
+        object.__setattr__(self, "steps", tuple(map(operator.index, steps)))
+        object.__setattr__(self, "ranks", tuple(map(operator.index, ranks)))
         if len(self.steps) != len(self.ranks):
             raise PreconditionError(
                 f"diagram needs one rank per step: {len(self.steps)} steps, "

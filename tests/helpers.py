@@ -30,6 +30,81 @@ def tally_row_counts(steps, ranks) -> dict[int, int]:
     return counts
 
 
+def ref_vib(steps, ranks) -> tuple[tuple[int, ...], list[tuple[int, int, int, int]]]:
+    """Unit-scan balancing: the minimum over every row and a right-to-left
+    column scan on each move.
+
+    Returns the final ranks and the moves as ``(row, column, before, after)``
+    with 1-based columns.
+    """
+    ranks = list(ranks)
+    counts = tally_row_counts(steps, ranks)
+    moves = []
+    while True:
+        positive = [j for j, c in counts.items() if c > 0]
+        if not positive:
+            break
+        row = min(positive)
+        column = max(i for i in range(len(ranks)) if ranks[i] == row)
+        ranks[column] += 1
+        moves.append((row, column + 1, row, row + 1))
+        b = steps[column]
+        if b != 0:
+            counts[row] -= 1
+            counts[row + b] = counts.get(row + b, 0) + 1
+    assert all(c == 0 for c in counts.values())
+    return tuple(ranks), moves
+
+
+def ref_hpath(steps, ranks, schedule: PermSchedule):
+    """Unit-scan labeling tour: every label scans all columns for the
+    rightmost unlabeled arrow at the walk's height.
+
+    Returns the preimage steps and one ``(k, labels, stop_reason, ranks
+    after)`` per round, each label being ``(round, i, column, level)`` with a
+    1-based column.
+    """
+    n = len(steps)
+    ranks = list(ranks)
+    rounds = []
+    budget = sum(ranks) + 1  # every restart lowers the total rank
+    while True:
+        zero_columns = [c for c in range(n) if ranks[c] == 0]
+        k = len(zero_columns)
+        perm = schedule.perm(k)
+        labeled = [False] * n
+        order = []
+        labels = []
+        level = 0
+        zero_visits = 0
+        stuck = False
+        for i in range(1, n + 1):
+            if level == 0:
+                zero_visits += 1
+                if zero_visits > k:
+                    stuck = True
+                    break
+                j = zero_columns[perm.index(zero_visits)]
+                assert not labeled[j]
+            else:
+                candidates = [c for c in range(n) if not labeled[c] and ranks[c] == level]
+                if not candidates:
+                    stuck = True
+                    break
+                j = max(candidates)
+            labeled[j] = True
+            order.append(j)
+            labels.append((len(rounds) + 1, i, j + 1, ranks[j]))
+            level = ranks[j] + steps[j]
+        if not stuck:
+            rounds.append((k, tuple(labels), "completed", tuple(ranks)))
+            return tuple(steps[j] for j in order), rounds
+        assert level == 0
+        ranks = [r if labeled[c] else r - 1 for c, r in enumerate(ranks)]
+        rounds.append((k, tuple(labels), "stuck-at-level-0", tuple(ranks)))
+        assert len(rounds) <= budget
+
+
 def ref_osweep(steps, schedule: PermSchedule | None = None) -> tuple[int, ...]:
     """Sort-based reference for the (order) sweep map."""
     n = len(steps)
@@ -90,6 +165,23 @@ def random_dyck_path(rng: random.Random, max_value: int = 3) -> Path:
         if candidate.is_dyck:
             return candidate
     return Path(sorted(steps, reverse=True))
+
+
+def random_walk(rng: random.Random, n: int) -> Path:
+    """A Dyck path of about ``n`` steps: uniform steps in [-3, 3], a step that
+    would dip below zero is redrawn, and the walk is closed by down steps."""
+    steps = []
+    level = 0
+    while len(steps) < n:
+        b = rng.randint(-3, 3)
+        if level + b >= 0:
+            steps.append(b)
+            level += b
+    while level:
+        b = min(3, level)
+        steps.append(-b)
+        level -= b
+    return Path(steps)
 
 
 def random_diagram(rng: random.Random, max_n: int = 12) -> PathDiagram:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -32,6 +33,8 @@ from helpers import (
     random_positive_diagram,
     random_ranks_between,
     random_schedule,
+    random_walk,
+    ref_osweep,
     tally_row_counts,
 )
 
@@ -126,6 +129,8 @@ class TestVib:
     def test_invalid_checks_mode(self, fig_path):
         with pytest.raises(PreconditionError):
             vib(minimal_diagram(fig_path), checks="loud")
+        with pytest.raises(PreconditionError):
+            vib(minimal_diagram(fig_path), checks="panic")
 
 
 class TestRankLeq:
@@ -306,3 +311,21 @@ class TestInvOsweep:
         assert len(result.vib_trace.moves) == 5
         assert result.preimage == Path((0, 2, 2, 1, -2, -3))
         assert rank_leq(result.vib_trace.initial_ranks, result.vib_trace.final_ranks)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [3000, 10_000])
+def test_long_random_walks_invert_in_bounded_time(n):
+    """Sweep images of long random walks invert back to the walk.
+
+    The unit-scan balancing took minutes per call at n = 10^4; the bound
+    leaves an order of magnitude over a few seconds on a 2-core Xeon.
+    """
+    walk = random_walk(random.Random(n), n)
+    image = Path(ref_osweep(walk.steps))
+    start = time.perf_counter()
+    preimage = inv_osweep(image, REVERSE)
+    elapsed = time.perf_counter() - start
+    assert preimage == walk
+    assert ref_osweep(preimage.steps) == image.steps
+    assert elapsed < 60.0
