@@ -61,7 +61,6 @@ from .paths import (
     is_balanced,
     minimal_diagram,
     parse_int_list,
-    row_count_delta,
     row_counts,
     vpath,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "rank_leq",
     "render_ascii",
     "render_svg",
-    "row_count_delta",
     "row_counts",
     "strip",
     "sweep",

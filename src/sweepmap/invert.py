@@ -15,21 +15,35 @@ selects what happens when such a fact fails: ``"error"`` raises
 valid input the checks can never fire; they exist to turn latent bugs into
 loud ones.
 
-Cost: a balancing move is O(log n) (a heap of positive rows and a bisection
-of the sorted ranks) and a labeling round is O(n) (one pointer per height).
-Row counting and balancing still work one unit row and one unit move at a
-time, so both stages remain linear in the step magnitudes |b|.
+Cost: balancing keeps the row counts as a step function over breakpoints
+(the heights where arrows start or end) and makes its unit moves in runs,
+raising one column over as many rows as the unit rule would in a row.  A
+run costs O(log n) bisections and heap operations, plus one step per
+breakpoint interval it crosses, independent of the step magnitudes |b|;
+how many runs a path needs depends on its shape.  A labeling round is O(n)
+(one pointer per height).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import operator
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple, Sequence
+from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import InvariantViolation, PreconditionError, StepLimitExceeded
-from .paths import Path, PathDiagram, connected_diagram, is_balanced, minimal_diagram, row_counts
+from .paths import (
+    Path,
+    PathDiagram,
+    _breakpoints,
+    connected_diagram,
+    is_balanced,
+    minimal_diagram,
+)
 from .schedules import REVERSE, PermSchedule
 
 CHECK_MODES = ("error", "off")
@@ -60,11 +74,67 @@ class VibMove(NamedTuple):
         return self._asdict()
 
 
+class VibMoves(Sequence):
+    """The unit moves of a balancing trace, expanded from its runs on demand.
+
+    Reads as the tuple of :class:`VibMove` records it stands for: ``len`` is
+    the number of unit moves, indexing and iteration build the records, and
+    it compares equal to that tuple.  Only the records asked for are built.
+    """
+
+    __slots__ = ("_runs", "_ends")
+
+    def __init__(self, runs: Sequence[tuple[int, int, int]]) -> None:
+        self._runs = runs
+        # _ends[k]: moves made by runs 0..k, so run k holds steps _ends[k-1]+1.._ends[k]
+        self._ends = list(accumulate(stop - start for _, start, stop in runs))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        size = len(self)
+        index = operator.index(index)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("move index out of range")
+        k = bisect_right(self._ends, index)
+        column, start, _ = self._runs[k]
+        row = start + index - (self._ends[k - 1] if k else 0)
+        return VibMove(index + 1, row, column, row, row + 1)
+
+    def __iter__(self):
+        step = 0
+        for column, start, stop in self._runs:
+            for row in range(start, stop):
+                step += 1
+                yield VibMove(step, row, column, row, row + 1)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (VibMoves, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} balancing moves in {len(self._runs)} runs>"
+
+
 @dataclass(frozen=True)
 class VibTrace:
-    moves: tuple[VibMove, ...]
+    """Balancing log: one ``(column, from, to)`` per run of unit moves that
+    raised the 1-based ``column`` from rank ``from`` to rank ``to``."""
+
+    runs: tuple[tuple[int, int, int], ...]
     initial_ranks: tuple[int, ...]
     final_ranks: tuple[int, ...]
+
+    @cached_property
+    def moves(self) -> VibMoves:
+        """The unit moves, one :class:`VibMove` per raise, in order."""
+        return VibMoves(self.runs)
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -129,14 +199,68 @@ def rank_leq(left: Sequence[int], right: Sequence[int]) -> bool:
 
 
 def default_step_cap(diagram: PathDiagram) -> int:
-    """Safety cap on balancing moves: ``N * (max end rank + N)``.
+    """Safety cap on balancing moves: ``N * (max rank + sum of up steps)``.
 
-    Termination is proven, so the cap never binds on valid input; it only
-    converts an implementation bug into a clean error.
+    Balancing stops at the least balanced placement above its start.  The
+    sweep-ordered drawing of a Dyck path, lifted by the start's largest
+    rank, is a balanced placement above the start whose ranks are all at
+    most that rank plus the sum of the up steps, so the cap never binds on
+    valid input; it only converts an implementation bug into a clean error.
     """
-    n = len(diagram)
-    top = max(diagram.end_ranks, default=0)
-    return n * (top + n)
+    top = max(diagram.ranks, default=0) + sum(b for b in diagram.steps if b > 0)
+    return len(diagram) * top
+
+
+def _run_length(points: list[int], count: dict[int, int], row: int, b: int, limit: int) -> int:
+    """How many unit moves in a row, at most ``limit``, the balancing rule
+    makes on the arrow of step ``b`` that starts at the working row ``row``.
+
+    Move ``k`` of such a run works on row ``row + k``, and the run goes on
+    while those rows have count 1: each drops to 0, so the lowest positive
+    row moves up by one.  (The arrow can never pass a row of count 2 or
+    more: it would leave that row positive with no arrow starting there.)
+    A down arrow also adds one to row ``row + b + k``; the run stops where
+    the negative rows from ``row + b`` end, so those rows stay at most 0.
+    ``limit`` keeps the arrow the rightmost one at its working row and the
+    two row ranges apart.
+    """
+    i = bisect_left(points, row)
+    while count[points[i]] == 1 and points[i] < row + limit:
+        i += 1
+    length = min(points[i] - row, limit)
+    if b < 0:
+        end = row + b
+        i = bisect_left(points, end)
+        while count[points[i]] < 0 and points[i] < end + length:
+            i += 1
+        length = min(length, points[i] - end)
+    return length
+
+
+def _add_to_rows(
+    points: list[int], count: dict[int, int], positive: list[int], lo: int, hi: int, delta: int
+) -> list[int]:
+    """Add ``delta`` to the count of rows ``[lo, hi)`` and return the new
+    counts of the intervals there.  Intervals are split at both ends first,
+    and every interval start that is or turns positive is pushed on the heap."""
+    for row in (lo, hi):
+        if row not in count:
+            i = bisect_right(points, row)
+            value = count[points[i - 1]] if i else 0
+            points.insert(i, row)
+            count[row] = value
+            if value > 0:
+                heappush(positive, row)
+    values = []
+    i = bisect_left(points, lo)
+    while points[i] < hi:
+        p = points[i]
+        value = count[p] = count[p] + delta
+        if value == 1 and delta > 0:
+            heappush(positive, p)
+        values.append(value)
+        i += 1
+    return values
 
 
 def vib(
@@ -152,6 +276,10 @@ def vib(
     positive, at which point all counts are exactly zero.  The input must be
     weakly increasing with no arrow ending below height zero, and its steps
     must form a Dyck path.
+
+    Once an arrow is picked, every further move the rule would make on it,
+    row after row, is made at once as one run.  ``step_cap`` still counts
+    unit moves.
     """
     mode = _validate_mode(checks)
     problems = []
@@ -167,35 +295,23 @@ def vib(
     steps = diagram.steps
     n = len(steps)
     ranks = list(diagram.ranks)
-    counts = dict(row_counts(diagram).counts())
-    # Rows currently below zero; a count may rise out of this set but a row
-    # that has ever been >= 0 must never drop below zero again.
-    still_negative = {j for j, c in counts.items() if c < 0}
-    # Min-heap holding every positive row; rows no longer positive are
-    # dropped lazily when they reach the top.
-    positive = [j for j, c in counts.items() if c > 0]
+    points, red, blue = _breakpoints(steps, ranks)
+    # The row count as a step function: count[p] holds from breakpoint p up to
+    # the next one.  Breakpoints are added, never removed, and the start and
+    # end height of every arrow stay among them.
+    count = {p: up - down for p, up, down in zip(points, red, blue)}
+    # Min-heap holding the start of every positive interval; starts no longer
+    # positive are dropped lazily when they reach the top.
+    positive = [p for p, c in count.items() if c > 0]
     heapify(positive)
     cap = default_step_cap(diagram) if step_cap is None else step_cap
-    moves: list[VibMove] = []
-
-    def bump(row: int, delta: int) -> None:
-        value = counts.get(row, 0) + delta
-        counts[row] = value
-        if value >= 0:
-            still_negative.discard(row)
-            if delta > 0 and value == 1:  # just turned positive
-                heappush(positive, row)
-        else:
-            _check(
-                row in still_negative,
-                mode,
-                "row %d count dropped below zero after having been nonnegative",
-                row,
-            )
+    runs: list[tuple[int, int, int]] = []
+    moved = 0
 
     while positive:
         row = positive[0]
-        if counts[row] <= 0:
+        value = count[row]
+        if value <= 0:
             heappop(positive)
             continue
         # Ranks stay weakly increasing, so the rightmost arrow starting at
@@ -207,33 +323,73 @@ def vib(
             raise InvariantViolation(
                 f"no arrow starts at working row {row}; diagram state is corrupt"
             )
-        if len(moves) >= cap:
+        b = steps[column]
+        length = 1
+        # The first two rows of a run decide most cases cheaply; on paths
+        # with small steps nearly every run is a single move.
+        if (
+            value == 1
+            and (b > 1 or b < -1)
+            and count.get(row + 1, 1) == 1
+            and (b > 0 or count[row + b] < 0)
+        ):
+            limit = b if b > 0 else -b
+            if column + 1 < n:
+                limit = min(limit, ranks[column + 1] - row)
+            length = _run_length(points, count, row, b, limit)
+        moved += length
+        if moved > cap:
             raise StepLimitExceeded(
                 f"balancing exceeded its safety cap of {cap} moves; "
                 f"this indicates an implementation bug"
             )
-        before = ranks[column]
-        ranks[column] += 1
+        if length > 1:
+            lowered = _add_to_rows(points, count, positive, row, row + length, -1)
+            raised = _add_to_rows(points, count, positive, row + b, row + b + length, 1)
+            _check(min(lowered) >= 0, mode, "run on column %d took a row count below zero", column + 1)
+            _check(
+                b > 0 or max(raised) <= 0,
+                mode,
+                "run on column %d made a row below its working rows positive",
+                column + 1,
+            )
+        elif b:
+            # One unit move, inline: row ``row`` loses a segment end, row
+            # ``row + b`` gains one; each is first split off its interval.
+            above = row + 1
+            if above not in count:
+                insort(points, above)
+                count[above] = value
+                heappush(positive, above)
+            count[row] = value - 1
+            end = row + b
+            end_value = count[end]
+            above = end + 1
+            if above not in count:
+                insort(points, above)
+                count[above] = end_value
+                if end_value > 0:
+                    heappush(positive, above)
+            count[end] = end_value + 1
+            if end_value == 0:
+                heappush(positive, end)
+        ranks[column] = row + length
         _check(
             column == n - 1 or ranks[column] <= ranks[column + 1],
             mode,
             "raising column %d broke the weakly increasing order",
             column + 1,
         )
-        b = steps[column]
-        if b != 0:
-            bump(row, -1)
-            bump(row + b, +1)
-        moves.append(VibMove(len(moves) + 1, row, column + 1, before, before + 1))
+        runs.append((column + 1, row, row + length))
 
     _check(
-        all(c == 0 for c in counts.values()),
+        all(c == 0 for c in count.values()),
         mode,
         "balancing stopped with a nonzero row count",
     )
     final = PathDiagram(steps, ranks)
     trace = VibTrace(
-        moves=tuple(moves),
+        runs=tuple(runs),
         initial_ranks=diagram.ranks,
         final_ranks=final.ranks,
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -185,27 +186,73 @@ class PathDiagram:
         return self.is_increasing and all(e >= 0 for e in self.end_ranks)
 
 
+def _breakpoints(steps: Iterable[int], ranks: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
+    """The row tallies as step functions: sorted rows ``points`` where a
+    tally may change, and the red and blue tallies on each interval
+    ``[points[i], points[i+1])``; both are zero below the first point and
+    from the last one on.
+
+    An up arrow adds one red segment on rows ``[r, r+b)`` and a down arrow
+    one blue segment on ``[r+b, r)``, so each arrow is two breakpoints:
+    O(n log n) in the number of arrows, whatever the step sizes.
+    """
+    red_delta: dict[int, int] = {}
+    blue_delta: dict[int, int] = {}
+    for b, r in zip(steps, ranks):
+        if b > 0:
+            red_delta[r] = red_delta.get(r, 0) + 1
+            red_delta[r + b] = red_delta.get(r + b, 0) - 1
+        elif b < 0:
+            blue_delta[r + b] = blue_delta.get(r + b, 0) + 1
+            blue_delta[r] = blue_delta.get(r, 0) - 1
+    points = sorted(red_delta.keys() | blue_delta.keys())
+    red, blue = [], []
+    red_total = blue_total = 0
+    for p in points:
+        red_total += red_delta.get(p, 0)
+        blue_total += blue_delta.get(p, 0)
+        red.append(red_total)
+        blue.append(blue_total)
+    return points, red, blue
+
+
 class RowCounts:
-    """Per-row segment tallies; rows never touched count as zero."""
+    """Per-row segment tallies; rows never touched count as zero.
 
-    __slots__ = ("_red", "_blue")
+    Built by :func:`row_counts`.  The tallies are kept per breakpoint
+    interval, so a lookup is a bisection and nothing but :meth:`rows` and
+    :meth:`counts` visits individual rows.
+    """
 
-    def __init__(self, red: Mapping[int, int], blue: Mapping[int, int]) -> None:
-        self._red = {j: c for j, c in red.items() if c}
-        self._blue = {j: c for j, c in blue.items() if c}
+    __slots__ = ("_points", "_red", "_blue")
+
+    def __init__(self, points: list[int], red: list[int], blue: list[int]) -> None:
+        self._points = points
+        self._red = red
+        self._blue = blue
+
+    def _at(self, tallies: list[int], row: int) -> int:
+        i = bisect_right(self._points, row) - 1
+        return tallies[i] if i >= 0 else 0
 
     def red(self, row: int) -> int:
-        return self._red.get(row, 0)
+        return self._at(self._red, row)
 
     def blue(self, row: int) -> int:
-        return self._blue.get(row, 0)
+        return self._at(self._blue, row)
 
     def count(self, row: int) -> int:
         return self.red(row) - self.blue(row)
 
     def rows(self) -> list[int]:
         """Sorted rows containing at least one segment."""
-        return sorted(self._red.keys() | self._blue.keys())
+        points = self._points
+        return [
+            j
+            for lo, hi, red, blue in zip(points, points[1:], self._red, self._blue)
+            if red or blue
+            for j in range(lo, hi)
+        ]
 
     def counts(self) -> dict[int, int]:
         """Counts over the segment-bearing rows (other rows are zero)."""
@@ -213,11 +260,15 @@ class RowCounts:
 
     @property
     def total(self) -> int:
-        return sum(self._red.values()) - sum(self._blue.values())
+        points = self._points
+        return sum(
+            (hi - lo) * (red - blue)
+            for lo, hi, red, blue in zip(points, points[1:], self._red, self._blue)
+        )
 
     @property
     def is_zero(self) -> bool:
-        return all(self.count(j) == 0 for j in self.rows())
+        return self._red == self._blue
 
 
 def row_counts(diagram: PathDiagram) -> RowCounts:
@@ -227,21 +278,17 @@ def row_counts(diagram: PathDiagram) -> RowCounts:
     ``r .. r+b-1``; a down arrow contributes one blue segment to each of rows
     ``r+b .. r-1``; a level arrow contributes nothing.
     """
-    red: Counter[int] = Counter()
-    blue: Counter[int] = Counter()
-    for b, r in zip(diagram.steps, diagram.ranks):
-        if b > 0:
-            for j in range(r, r + b):
-                red[j] += 1
-        elif b < 0:
-            for j in range(r + b, r):
-                blue[j] += 1
-    return RowCounts(red, blue)
+    return RowCounts(*_breakpoints(diagram.steps, diagram.ranks))
 
 
 def is_balanced(diagram: PathDiagram) -> bool:
-    """True iff every row count of the diagram is zero."""
-    return row_counts(diagram).is_zero
+    """True iff every row count of the diagram is zero.
+
+    ``count(j) - count(j-1)`` is the number of arrows starting at height
+    ``j`` minus the number ending there, so every count vanishes exactly when
+    the start heights and the end heights agree as multisets.
+    """
+    return sorted(diagram.ranks) == sorted(diagram.end_ranks)
 
 
 def minimal_diagram(path: Path) -> PathDiagram:
@@ -270,19 +317,6 @@ def vpath(diagram: PathDiagram) -> Path:
     this is simply the steps.
     """
     return Path(diagram.steps)
-
-
-def row_count_delta(diagram: PathDiagram, row: int) -> tuple[int, int, int]:
-    """Return ``(count(row) - count(row-1), starts at row, ends at row)``.
-
-    The two independent tallies always agree (``delta == starts - ends``);
-    callers check that identity rather than this function assuming it.
-    """
-    rc = row_counts(diagram)
-    delta = rc.count(row) - rc.count(row - 1)
-    starts = sum(1 for r in diagram.ranks if r == row)
-    ends = sum(1 for e in diagram.end_ranks if e == row)
-    return delta, starts, ends
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,13 @@ from itertools import permutations
 from sweepmap import Path, PathDiagram, PathKind, PermSchedule, minimal_diagram, table_schedule
 
 
+def tally_row(steps, ranks, j) -> tuple[int, int]:
+    """The red and blue segments crossing row ``j``, counted arrow by arrow."""
+    red = sum(1 for b, r in zip(steps, ranks) if b > 0 and r <= j < r + b)
+    blue = sum(1 for b, r in zip(steps, ranks) if b < 0 and r + b <= j < r)
+    return red, blue
+
+
 def tally_row_counts(steps, ranks) -> dict[int, int]:
     """Row counts by scanning each row across the diagram's vertical range."""
     if not steps:
@@ -23,11 +30,28 @@ def tally_row_counts(steps, ranks) -> dict[int, int]:
     hi = max(max(ranks), max(tops)) + 1
     counts = {}
     for j in range(lo, hi + 1):
-        red = sum(1 for b, r in zip(steps, ranks) if b > 0 and r <= j < r + b)
-        blue = sum(1 for b, r in zip(steps, ranks) if b < 0 and r + b <= j < r)
+        red, blue = tally_row(steps, ranks, j)
         if red or blue:
             counts[j] = red - blue
     return counts
+
+
+def row_count_delta(diagram: PathDiagram, row: int) -> tuple[int, int, int]:
+    """Return ``(count(row) - count(row-1), starts at row, ends at row)``.
+
+    The count comes from the row scan, the starts and ends from the ranks, so
+    the identity ``delta == starts - ends`` is checked between two
+    independent tallies rather than assumed by either.
+    """
+
+    def count(j):
+        red, blue = tally_row(diagram.steps, diagram.ranks, j)
+        return red - blue
+
+    delta = count(row) - count(row - 1)
+    starts = sum(1 for r in diagram.ranks if r == row)
+    ends = sum(1 for e in diagram.end_ranks if e == row)
+    return delta, starts, ends
 
 
 def ref_vib(steps, ranks) -> tuple[tuple[int, ...], list[tuple[int, int, int, int]]]:

@@ -30,7 +30,6 @@ from sweepmap import (
     osweep,
     osweep_incomplete,
     rank_leq,
-    row_count_delta,
     strip,
     sweep,
     sweep_incomplete,
@@ -42,6 +41,7 @@ from helpers import (
     random_positive_diagram,
     random_ranks_between,
     random_schedule,
+    row_count_delta,
 )
 
 SEED = 20240817

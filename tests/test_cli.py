@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from sweepmap import Path, VerificationReport
+from sweepmap import Path, VerificationReport, minimal_diagram
 from sweepmap.cli import run
+from helpers import ref_vib
 
 
 def out_of(capsys):
@@ -170,6 +171,26 @@ class TestTrace:
         records = json.loads(out)
         assert records[0] == {"step": 1, "row": 0, "column": 3, "before": 0, "after": 1}
         assert len(records) == 5
+
+    @pytest.mark.parametrize("text", ["2,0,2,-3,1,-2", "80,-40,-40"])
+    def test_vib_trace_equals_reference_moves(self, text, capsys):
+        path = Path.from_text(text)
+        ranks, moves = ref_vib(path.steps, minimal_diagram(path).ranks)
+        records = [
+            {"step": step, "row": row, "column": column, "before": before, "after": after}
+            for step, (row, column, before, after) in enumerate(moves, 1)
+        ]
+        lines = [
+            f"move {r['step']}: row {r['row']}, column {r['column']}, "
+            f"rank {r['before']} -> {r['after']}"
+            for r in records
+        ]
+        lines.append(f"{len(records)} moves; final ranks {','.join(map(str, ranks))}")
+        argv = ["trace", "--path", text, "--schedule", "reverse", "--algorithm", "vib"]
+        assert run(argv) == 0
+        assert out_of(capsys)[0] == "\n".join(lines) + "\n"
+        assert run(argv + ["--json"]) == 0
+        assert out_of(capsys)[0] == json.dumps(records) + "\n"
 
     def test_hpath_trace_json(self, capsys):
         assert (

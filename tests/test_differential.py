@@ -1,8 +1,10 @@
-"""The fast balancing and labeling tour against the unit-scan oracles.
+"""The fast balancing, labeling tour and row counts against the unit-scan
+oracles.
 
 Each case demands the same final ranks, move list, label list, rounds, stop
 reasons and preimage from :func:`sweepmap.vib`/:func:`sweepmap.hpath` as from
-``helpers.ref_vib``/``helpers.ref_hpath``.
+``helpers.ref_vib``/``helpers.ref_hpath``, and the same tallies from
+:func:`sweepmap.row_counts` as from the row scan.
 """
 
 import random
@@ -17,10 +19,13 @@ from sweepmap import (
     REVERSE,
     Path,
     PathDiagram,
+    VibMove,
     hib,
     hpath,
     invert_pipeline,
+    is_balanced,
     minimal_diagram,
+    row_counts,
     vib,
 )
 from helpers import (
@@ -31,17 +36,25 @@ from helpers import (
     ref_hpath,
     ref_osweep,
     ref_vib,
+    tally_row,
+    tally_row_counts,
 )
 
 SCHEDULES = (REVERSE, IDENTITY, CYCLE)
 
 
+def reference_moves(diagram):
+    """The oracle's final ranks and its moves as numbered ``VibMove`` records."""
+    ranks, moves = ref_vib(diagram.steps, diagram.ranks)
+    return ranks, tuple(VibMove(step, *move) for step, move in enumerate(moves, 1))
+
+
 def assert_vib_matches(diagram):
     balanced, trace = vib(diagram)
-    ranks, moves = ref_vib(diagram.steps, diagram.ranks)
+    ranks, moves = reference_moves(diagram)
     assert balanced.ranks == trace.final_ranks == ranks
-    assert [(m.row, m.column, m.before, m.after) for m in trace.moves] == moves
-    assert [m.step for m in trace.moves] == list(range(1, len(moves) + 1))
+    assert len(trace.moves) == len(moves)
+    assert tuple(trace.moves) == moves
     return balanced
 
 
@@ -104,17 +117,18 @@ def test_restarting_diagrams():
 
 
 @st.composite
-def positive_diagrams(draw):
-    """Dyck steps in [-3, 3], minimally placed, then raised in order."""
+def positive_diagrams(draw, max_step=3, max_size=24):
+    """Dyck steps in [-max_step, max_step], minimally placed, then raised in
+    order."""
     steps = []
     level = 0
-    for b in draw(st.lists(st.integers(-3, 3), max_size=24)):
+    for b in draw(st.lists(st.integers(-max_step, max_step), max_size=max_size)):
         b = max(b, -level)
         steps.append(b)
         level += b
     while level:
-        steps.append(-min(3, level))
-        level -= min(3, level)
+        steps.append(-min(max_step, level))
+        level -= min(max_step, level)
     ranks = list(minimal_diagram(Path(steps)).ranks)
     for i in draw(st.lists(st.integers(0, len(steps)), max_size=12)):
         if i == len(ranks) - 1 or (i < len(ranks) - 1 and ranks[i] < ranks[i + 1]):
@@ -126,3 +140,55 @@ def positive_diagrams(draw):
 @given(positive_diagrams(), st.sampled_from(SCHEDULES))
 def test_property_fast_equals_reference(diagram, schedule):
     assert_hpath_matches(assert_vib_matches(diagram), schedule)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(positive_diagrams(max_step=60, max_size=10), st.sampled_from(SCHEDULES))
+def test_property_large_steps_equal_reference(diagram, schedule):
+    assert_hpath_matches(assert_vib_matches(diagram), schedule)
+
+
+@pytest.mark.parametrize("k", (2, 3, 5, 37, 1000))
+def test_tall_shapes(k):
+    # long runs on one column: (2K,-K,-K) balances in one run of K moves,
+    # (K,-1,K,-(2K-1)) in a run of K-1 and one more move, (K,-K) in none
+    for steps in ((2 * k, -k, -k), (k, -1, k, -(2 * k - 1)), (k, -k)):
+        result = invert_pipeline(Path(steps), REVERSE)
+        assert assert_vib_matches(result.minimal) == result.balanced
+        assert assert_hpath_matches(result.balanced, REVERSE) == 1
+        assert ref_osweep(result.preimage.steps, REVERSE) == steps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-10, 60)), max_size=10))
+def test_row_counts_match_row_scan(arrows):
+    steps = [b for b, _ in arrows]
+    ranks = [r for _, r in arrows]
+    rc = row_counts(PathDiagram(steps, ranks))
+    oracle = tally_row_counts(steps, ranks)
+    assert rc.rows() == sorted(oracle)
+    for j in range(-62, 112):
+        assert (rc.red(j), rc.blue(j)) == tally_row(steps, ranks, j)
+        assert rc.count(j) == oracle.get(j, 0)
+    assert rc.total == sum(oracle.values())
+    assert rc.is_zero == all(c == 0 for c in oracle.values())
+    assert is_balanced(PathDiagram(steps, ranks)) == rc.is_zero
+
+
+def test_move_view_reads_as_the_tuple_of_moves():
+    diagram = minimal_diagram(Path((6, -1, 6, -11, 5, -5)))
+    _, trace = vib(diagram)
+    _, expected = reference_moves(diagram)
+    moves = trace.moves
+    size = len(expected)
+    assert len(moves) == size > len(trace.runs)
+    assert moves == expected and expected == moves
+    assert moves != expected[:-1] and moves != list(expected)
+    assert tuple(moves) == expected
+    assert [moves[i] for i in range(-size, size)] == [expected[i] for i in range(-size, size)]
+    assert moves[2:-1] == expected[2:-1]
+    for index in (size, -size - 1):
+        with pytest.raises(IndexError):
+            moves[index]
+    _, empty = vib(PathDiagram((), ()))
+    assert empty.moves == () and len(empty.moves) == 0 and list(empty.moves) == []

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -120,6 +121,17 @@ class TestVib:
         start = PathDiagram(fig_path.steps, (0, 0, 0, 3, 3, 3))
         with pytest.raises(StepLimitExceeded):
             vib(start, step_cap=2)
+        with pytest.raises(StepLimitExceeded):
+            vib(start, step_cap=4)
+        assert vib(start, step_cap=5)[0].ranks == (0, 0, 2, 3, 4, 5)
+
+    def test_default_cap_covers_a_climb_above_the_end_ranks(self):
+        # the last arrow must climb to rank 29, above every end rank of the
+        # start: 129 moves, more than N * (max end rank + N) = 128
+        d = PathDiagram((8, 8, 7, 4, 1, 0, 1, -29), (0, 0, 0, 0, 0, 0, 0, 29))
+        balanced, trace = vib(d)
+        assert balanced.ranks == (0, 8, 16, 23, 27, 27, 28, 29)
+        assert len(trace.moves) == 129
 
     def test_checks_off_still_computes(self, fig_path):
         start = PathDiagram(fig_path.steps, (0, 0, 0, 3, 3, 3))
@@ -311,6 +323,27 @@ class TestInvOsweep:
         assert len(result.vib_trace.moves) == 5
         assert result.preimage == Path((0, 2, 2, 1, -2, -3))
         assert rank_leq(result.vib_trace.initial_ranks, result.vib_trace.final_ranks)
+
+    def test_huge_steps_invert_in_milliseconds(self):
+        """Steps of size 10^9: the cost must not grow with the magnitudes."""
+        moves_by_shape = {
+            (10**9, -(10**9)): 0,
+            (2 * 10**9, -(10**9), -(10**9)): 10**9,
+            (10**9, -1, 10**9, -(2 * 10**9 - 1)): 10**9,
+        }
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            for steps, moves in moves_by_shape.items():
+                result = invert_pipeline(Path(steps), REVERSE)
+                assert ref_osweep(result.preimage.steps, REVERSE) == steps
+                assert len(result.vib_trace.moves) == moves
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 2.0
+        assert peak < 10 * 2**20
 
 
 @pytest.mark.slow

@@ -16,11 +16,10 @@ from sweepmap import (
     enumerate_paths,
     is_balanced,
     minimal_diagram,
-    row_count_delta,
     row_counts,
     vpath,
 )
-from helpers import tally_row_counts
+from helpers import row_count_delta, tally_row_counts
 
 steps_lists = st.lists(st.integers(min_value=-5, max_value=5), max_size=10)
 
