@@ -47,7 +47,6 @@ from .invert import (
     inv_osweep,
     invert_pipeline,
     is_stable,
-    rank_leq,
     vib,
 )
 from .paths import (
@@ -62,7 +61,6 @@ from .paths import (
     minimal_diagram,
     parse_int_list,
     row_counts,
-    vpath,
 )
 from .render import render_ascii, render_svg
 from .schedules import CYCLE, IDENTITY, REVERSE, PermSchedule, builtin, table_schedule
@@ -116,7 +114,6 @@ __all__ = [
     "osweep",
     "osweep_incomplete",
     "parse_int_list",
-    "rank_leq",
     "render_ascii",
     "render_svg",
     "row_counts",
@@ -127,6 +124,5 @@ __all__ = [
     "table_schedule",
     "verify_bijection",
     "vib",
-    "vpath",
     "__version__",
 ]

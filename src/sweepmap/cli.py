@@ -22,10 +22,17 @@ from .errors import (
     PreconditionError,
     ScheduleError,
 )
-from .incomplete import inv_osweep_incomplete, osweep_incomplete, sweep_incomplete
+from .incomplete import complete, inv_osweep_incomplete, strip
 from .invert import invert_pipeline
 from .paths import Path, PathDiagram, PathKind, StepMultiset, connected_diagram, parse_int_list
 from .sweep import osweep, sweep
+
+# Output bounds, past which ``trace`` and ``render`` exit 2 instead of
+# writing.  At the limits a JSON trace is about 17 MB and an SVG figure
+# about 60 MB, an ASCII figure at most about 16 MB; each takes under 3 s and
+# 260 MB of memory on a 2-core Xeon.
+MAX_TRACE_RECORDS = 200_000  # unit moves and labels listed
+MAX_FIGURE_SIZE = 1_000_000  # ASCII cells (columns x rows) or SVG lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,20 +139,14 @@ def _emit_path(path: Path, as_json: bool) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    path, kind = _interpret(args)
-    image = sweep_incomplete(path) if kind is PathKind.INCOMPLETE else sweep(path)
-    _emit_path(image, args.json)
+    path, _ = _interpret(args)
+    _emit_path(sweep(path), args.json)
     return 0
 
 
 def _cmd_osweep(args) -> int:
-    path, kind = _interpret(args)
-    schedule = schedules.from_text(args.schedule)
-    if kind is PathKind.INCOMPLETE:
-        image = osweep_incomplete(path, schedule)
-    else:
-        image = osweep(path, schedule)
-    _emit_path(image, args.json)
+    path, _ = _interpret(args)
+    _emit_path(osweep(path, schedules.from_text(args.schedule)), args.json)
     return 0
 
 
@@ -154,33 +155,25 @@ def _cmd_invert(args) -> int:
     schedule = schedules.from_text(args.schedule)
     if kind is PathKind.INCOMPLETE:
         preimage = inv_osweep_incomplete(path, schedule)
-        if args.oracle:
-            from .incomplete import complete, strip
-
-            expected = strip(families.oracle_invert(complete(path), schedule.lift()))
-            if expected != preimage:
-                print(
-                    f"oracle mismatch: pipeline {preimage.to_text()}, "
-                    f"table {expected.to_text()}",
-                    file=sys.stderr,
-                )
-                return 1
     elif kind is PathKind.DYCK:
         preimage = invert_pipeline(path, schedule).preimage
-        if args.oracle:
-            expected = families.oracle_invert(path, schedule)
-            if expected != preimage:
-                print(
-                    f"oracle mismatch: pipeline {preimage.to_text()}, "
-                    f"table {expected.to_text()}",
-                    file=sys.stderr,
-                )
-                return 1
     else:
         raise PreconditionError(
             f"inversion is defined for dyck and incomplete paths; "
             f"{args.path!r} classifies as {kind.value}"
         )
+    if args.oracle:
+        if kind is PathKind.INCOMPLETE:
+            expected = strip(families.oracle_invert(complete(path), schedule.lift()))
+        else:
+            expected = families.oracle_invert(path, schedule)
+        if expected != preimage:
+            print(
+                f"oracle mismatch: pipeline {preimage.to_text()}, "
+                f"table {expected.to_text()}",
+                file=sys.stderr,
+            )
+            return 1
     _emit_path(preimage, args.json)
     return 0
 
@@ -232,6 +225,15 @@ def _cmd_trace(args) -> int:
             f"got {args.path!r}"
         )
     result = invert_pipeline(path, schedule)
+    size = 0
+    if args.algorithm in ("vib", "invosweep"):
+        size += len(result.vib_trace.moves)
+    if args.algorithm in ("hpath", "invosweep"):
+        size += sum(len(rnd.labels) for rnd in result.hpath_trace.rounds)
+    if size > MAX_TRACE_RECORDS:
+        raise PreconditionError(
+            f"the {args.algorithm} trace has {size} records; the limit is {MAX_TRACE_RECORDS}"
+        )
     records: list[dict] = []
     lines: list[str] = []
     if args.algorithm in ("vib", "invosweep"):
@@ -272,12 +274,20 @@ def _cmd_render(args) -> int:
     else:
         diagram = connected_diagram(path)
     out = args.out
+    heights = (0, *diagram.ranks, *diagram.end_ranks)
+    rows, columns = max(heights) - min(heights) + 1, len(diagram)
     if out.endswith(".svg"):
-        document, fmt = render.render_svg(diagram), "svg"
+        fmt, size, unit = "svg", 3 * rows + 2 * columns, "lines"
     elif out.endswith(".txt"):
-        document, fmt = render.render_ascii(diagram), "ascii"
+        fmt, size, unit = "ascii", rows * columns, "cells"
     else:
         raise PreconditionError(f"--out must end in .svg or .txt, got {out!r}")
+    if size > MAX_FIGURE_SIZE:
+        raise PreconditionError(
+            f"a {columns}-column, {rows}-row {fmt} figure is {size} {unit}; "
+            f"the limit is {MAX_FIGURE_SIZE}"
+        )
+    document = render.render_svg(diagram) if fmt == "svg" else render.render_ascii(diagram)
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(document)
     if args.json:

@@ -53,18 +53,22 @@ class EnumerationSpec:
 def enumerate_paths(spec: EnumerationSpec) -> Iterator[Path]:
     """Yield every path of the family in lexicographic order, no duplicates.
 
-    Raises :class:`FamilyCapExceeded` if the family outgrows ``spec.cap``.
+    Depth-first over an explicit stack, so path length is not bounded by the
+    interpreter's recursion limit.  Raises :class:`FamilyCapExceeded` when
+    the path after the first ``spec.cap`` is reached.
     """
-    remaining = dict(sorted(spec.multiset.counts().items()))
+    counts = spec.multiset.counts()
+    values = sorted(counts)
+    left = [counts[v] for v in values]
     size = spec.multiset.size
     pruned = spec.kind is not PathKind.FREE
-    start = 0 if spec.kind is not PathKind.INCOMPLETE else -spec.multiset.total
+    level = 0 if spec.kind is not PathKind.INCOMPLETE else -spec.multiset.total
     prefix: list[int] = []
+    picks: list[int] = []  # index into ``values`` of each prefix step
+    i = 0  # next value index to try after the prefix
     yielded = 0
-
-    def walk(level: int, left: int) -> Iterator[Path]:
-        nonlocal yielded
-        if left == 0:
+    while True:
+        if len(prefix) == size:
             yielded += 1
             if yielded > spec.cap:
                 raise FamilyCapExceeded(
@@ -72,20 +76,22 @@ def enumerate_paths(spec: EnumerationSpec) -> Iterator[Path]:
                     f"exceeds the cap of {spec.cap} paths"
                 )
             yield Path(prefix)
+        else:
+            while i < len(values) and (left[i] == 0 or pruned and level + values[i] < 0):
+                i += 1
+            if i < len(values):
+                left[i] -= 1
+                prefix.append(values[i])
+                picks.append(i)
+                level += values[i]
+                i = 0
+                continue
+        if not picks:
             return
-        for value in list(remaining):
-            if remaining[value] == 0:
-                continue
-            new_level = level + value
-            if pruned and new_level < 0:
-                continue
-            remaining[value] -= 1
-            prefix.append(value)
-            yield from walk(new_level, left - 1)
-            prefix.pop()
-            remaining[value] += 1
-
-    return walk(start, size)
+        i = picks.pop()
+        left[i] += 1
+        level -= prefix.pop()
+        i += 1
 
 
 def family_size(spec: EnumerationSpec) -> int:

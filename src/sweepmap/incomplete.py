@@ -1,21 +1,22 @@
 """Sweep maps on incomplete Dyck paths.
 
 An incomplete Dyck path sums to ``-a`` for some ``a > 0`` and stays at or
-above height zero when started from height ``a``.  Prefixing the single up
-step ``a`` turns it into an ordinary Dyck path; that completion conjugates
-every map here back to the Dyck-path case:
+above height zero when started from height ``a``.  Its forward maps are
+``osweep`` and ``sweep`` on its own connected drawing, which starts at ``a``.
 
-* the plain sweep corresponds to the cycle schedule on the completion, and
-* an arbitrary schedule corresponds to its lift (which pins the added first
-  arrow to be emitted first, so the completion step can always be undone).
+Prefixing the up step ``a`` (completion) gives a Dyck path, and the order
+sweep with schedule ``s`` equals strip-of-osweep-of-completion with the lift
+of ``s``: the lift emits the added arrow first, which is what makes the two
+agree (the tests check it).  Inversion takes the conjugated route, since the
+inversion pipeline needs a Dyck path.
 """
 
 from __future__ import annotations
 
-from .errors import InvariantViolation, PreconditionError
+from .errors import PreconditionError
 from .invert import inv_osweep
 from .paths import Path
-from .schedules import CYCLE, PermSchedule
+from .schedules import PermSchedule
 from .sweep import osweep, sweep
 
 
@@ -53,37 +54,21 @@ def strip(path: Path) -> Path:
 
 
 def sweep_incomplete(path: Path) -> Path:
-    """The sweep map on an incomplete Dyck path.
-
-    Computed as strip-of-osweep-of-completion with the cycle schedule (the
-    authoritative route); the plain sweep of the path's own connected drawing
-    must give the same answer and is kept as a cross-check.
-    """
+    """The sweep map on an incomplete Dyck path."""
     _require_incomplete(path, "sweep_incomplete")
-    conjugated = strip(osweep(complete(path), CYCLE))
-    direct = sweep(path)
-    if conjugated != direct:
-        raise InvariantViolation(
-            f"conjugated and direct sweeps disagree on {path.to_text()!r}: "
-            f"{conjugated.to_text()} vs {direct.to_text()}"
-        )
-    return conjugated
+    return sweep(path)
 
 
 def osweep_incomplete(path: Path, schedule: PermSchedule) -> Path:
-    """The order sweep map on an incomplete Dyck path.
-
-    Conjugation by completion with the lifted schedule; the lift fixes
-    position 1, so the added arrow is emitted first and stripping is always
-    possible on the image (``strip`` validates rather than assumes this).
-    """
+    """The order sweep map on an incomplete Dyck path."""
     _require_incomplete(path, "osweep_incomplete")
-    return strip(osweep(complete(path), schedule.lift()))
+    return osweep(path, schedule)
 
 
 def inv_osweep_incomplete(
     path: Path, schedule: PermSchedule, *, checks: str = "error"
 ) -> Path:
-    """Preimage of ``path`` under :func:`osweep_incomplete` with ``schedule``."""
+    """Preimage of ``path`` under :func:`osweep_incomplete` with ``schedule``:
+    the completion inverted under the lifted schedule, then stripped."""
     _require_incomplete(path, "inv_osweep_incomplete")
     return strip(inv_osweep(complete(path), schedule.lift(), checks=checks))

@@ -189,15 +189,6 @@ class InversionResult:
     hpath_trace: HPathTrace
 
 
-def rank_leq(left: Sequence[int], right: Sequence[int]) -> bool:
-    """Pointwise comparison of two rank sequences of equal length."""
-    if len(left) != len(right):
-        raise PreconditionError(
-            f"rank sequences differ in length: {len(left)} vs {len(right)}"
-        )
-    return all(a <= b for a, b in zip(left, right))
-
-
 def default_step_cap(diagram: PathDiagram) -> int:
     """Safety cap on balancing moves: ``N * (max rank + sum of up steps)``.
 

@@ -21,6 +21,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, PreconditionError
@@ -92,12 +93,7 @@ class Path:
 
     def connected_ranks(self) -> tuple[int, ...]:
         """Starting height of each arrow when the path is drawn connected."""
-        ranks = []
-        level = self.start_level
-        for b in self.steps:
-            ranks.append(level)
-            level += b
-        return tuple(ranks)
+        return tuple(accumulate(self.steps, initial=-sum(self.steps)))[:-1]
 
     def type_of(self) -> "StepMultiset":
         """The multiset of step values."""
@@ -109,25 +105,12 @@ class Path:
 
     @property
     def is_dyck(self) -> bool:
-        if self.total != 0:
-            return False
-        level = 0
-        for b in self.steps:
-            level += b
-            if level < 0:
-                return False
-        return True
+        return self.total == 0 and min(accumulate(self.steps), default=0) >= 0
 
     @property
     def is_incomplete(self) -> bool:
-        if self.total >= 0:
-            return False
-        level = -self.total
-        for b in self.steps:
-            level += b
-            if level < 0:
-                return False
-        return True
+        start = -sum(self.steps)
+        return start > 0 and min(accumulate(self.steps, initial=start)) >= 0
 
     def classify(self) -> PathKind:
         if self.is_dyck:
@@ -308,15 +291,6 @@ def minimal_diagram(path: Path) -> PathDiagram:
 def connected_diagram(path: Path) -> PathDiagram:
     """The diagram of the path drawn connected, ending at height zero."""
     return PathDiagram(path.steps, path.connected_ranks())
-
-
-def vpath(diagram: PathDiagram) -> Path:
-    """Collapse a diagram back to its step sequence.
-
-    Vertical shifts change ranks only, never column order or step values, so
-    this is simply the steps.
-    """
-    return Path(diagram.steps)
 
 
 @dataclass(frozen=True)

@@ -48,16 +48,27 @@ def _validate_permutation(perm: Sequence[int], k: int, origin: str) -> tuple[int
 
 @dataclass(frozen=True, eq=False)
 class PermSchedule:
-    """A named total rule ``k -> one-line permutation of {1..k}``."""
+    """A named total rule ``k -> one-line permutation of {1..k}``.
+
+    Each size is validated on its first query and its permutation kept on the
+    instance; a failed validation keeps nothing, so it raises on every query.
+    The rule must be pure: concurrent first queries may both run it.
+    """
 
     name: str
     rule: Callable[[int], Sequence[int]] = field(repr=False)
+    _perms: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
+    _lifted: "PermSchedule | None" = field(default=None, init=False, repr=False)
 
     def perm(self, k: int) -> tuple[int, ...]:
         """The one-line permutation for size ``k`` (validated)."""
-        if k < 0:
-            raise ScheduleError(f"schedule queried for negative size {k}")
-        return _validate_permutation(self.rule(k), k, f"schedule {self.name!r} at k={k}")
+        perm = self._perms.get(k)
+        if perm is None:
+            if k < 0:
+                raise ScheduleError(f"schedule queried for negative size {k}")
+            perm = _validate_permutation(self.rule(k), k, f"schedule {self.name!r} at k={k}")
+            self._perms[k] = perm
+        return perm
 
     def inverse_perm(self, k: int) -> tuple[int, ...]:
         perm = self.perm(k)
@@ -71,16 +82,17 @@ class PermSchedule:
 
         ``lift(s).perm(k)`` is ``(1, s.perm(k-1)[0]+1, ..., s.perm(k-1)[k-2]+1)``;
         the size-1 permutation is the identity.  Lifting the reverse schedule
-        yields the cycle schedule.
+        yields the cycle schedule.  Every call returns the same schedule.
         """
-        base = self
+        if self._lifted is None:
 
-        def rule(k: int) -> tuple[int, ...]:
-            if k <= 1:
-                return (1,)[:k]
-            return (1,) + tuple(v + 1 for v in base.perm(k - 1))
+            def rule(k: int) -> tuple[int, ...]:
+                if k <= 1:
+                    return (1,)[:k]
+                return (1,) + tuple(v + 1 for v in self.perm(k - 1))
 
-        return PermSchedule(name=f"lift({base.name})", rule=rule)
+            object.__setattr__(self, "_lifted", PermSchedule(f"lift({self.name})", rule))
+        return self._lifted
 
     def __repr__(self) -> str:  # rule callables are noise in test output
         return f"PermSchedule({self.name!r})"

@@ -1,10 +1,12 @@
-"""Forward maps: the sweep map and the order sweep map.
+"""Forward maps: the order sweep map and its special case, the sweep map.
 
-Both maps re-emit the arrows of a path sorted by starting height (heights
-0, 1, 2, ... first, then the negative heights from the bottom up) and break
-ties within a height right to left.  The order sweep map differs in exactly
-one place: the group starting at height zero is emitted according to a
-permutation schedule instead (the reverse schedule recovers the plain sweep).
+The order sweep map re-emits the arrows of a path sorted by starting height
+(heights 0, 1, 2, ... first, then the negative heights from the bottom up)
+and breaks ties within a height right to left, except at height zero, where
+a permutation schedule chooses the order.  The sweep map is the order sweep
+map with the reverse schedule.  The starting heights are those of the path's
+own connected drawing (ending at height zero), so the same routine covers
+Dyck, free and incomplete paths alike.
 
 The emission is a stable bucket sort by starting height, never a comparison
 sort, so the tie order is controlled explicitly.
@@ -12,59 +14,62 @@ sort, so the tie order is controlled explicitly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import PreconditionError
 from .paths import Path, PathDiagram
-from .schedules import PermSchedule
+from .schedules import REVERSE, PermSchedule
 
 
-def _emission_order(ranks: tuple[int, ...], schedule: PermSchedule | None) -> list[int]:
-    """0-based column emission order for the given starting heights."""
+def _emission_order(steps: tuple[int, ...], schedule: PermSchedule) -> list[int]:
+    """0-based column emission order of the connected drawing of ``steps``."""
+    # scanned right to left down from the end height 0, so every bucket
+    # already lists its ties in emission order; the height-zero arrows
+    # C_1..C_k sit reversed in theirs
     buckets: dict[int, list[int]] = {}
-    for column, rank in enumerate(ranks):
-        buckets.setdefault(rank, []).append(column)
-    order: list[int] = []
-    heights = sorted(r for r in buckets if r >= 0) + sorted(r for r in buckets if r < 0)
-    for rank in heights:
-        columns = buckets[rank]
-        if rank == 0 and schedule is not None:
-            perm = schedule.perm(len(columns))
-            order.extend(columns[p - 1] for p in perm)
+    rank = 0
+    for column in range(len(steps) - 1, -1, -1):
+        rank -= steps[column]
+        if rank in buckets:
+            buckets[rank].append(column)
         else:
-            order.extend(reversed(columns))
+            buckets[rank] = [column]
+    zero = buckets.pop(0, None)
+    order = [zero[-p] for p in schedule.perm(len(zero))] if zero else []
+    heights = sorted(buckets)
+    split = bisect_left(heights, 0)
+    for height in heights[split:] + heights[:split]:
+        order += buckets[height]
     return order
 
 
-def sweep_order(path: Path, schedule: PermSchedule | None = None) -> tuple[int, ...]:
+def sweep_order(path: Path, schedule: PermSchedule = REVERSE) -> tuple[int, ...]:
     """Emission order of the path's arrows as 1-based column indices.
 
-    Without a schedule all ties break right to left; with one, the height-zero
-    group follows the schedule.  The result is always a permutation of 1..N.
+    All ties break right to left except in the height-zero group, which
+    follows the schedule.  The result is always a permutation of 1..N.
     """
-    order = _emission_order(path.connected_ranks(), schedule)
+    order = _emission_order(path.steps, schedule)
     return tuple(column + 1 for column in order)
 
 
 def sweep(path: Path) -> Path:
     """The sweep map: emit arrows by starting height, ties right to left.
 
-    Defined for any integer sequence; the connected drawing (ending at height
-    zero) fixes the starting heights.
+    This is :func:`osweep` with the reverse schedule.
     """
-    ranks = path.connected_ranks()
-    order = _emission_order(ranks, None)
-    return Path(path.steps[i] for i in order)
+    return osweep(path, REVERSE)
 
 
 def osweep(path: Path, schedule: PermSchedule) -> Path:
     """The order sweep map.
 
-    Identical to :func:`sweep` except at height zero: if ``C_1..C_k`` are the
-    height-zero arrows left to right, position ``j`` of that group emits
-    ``C_{perm(j)}``.  With the reverse schedule this is right-to-left, i.e.
-    the plain sweep.
+    Defined for any integer sequence, drawn connected so that it ends at
+    height zero.  If ``C_1..C_k`` are the height-zero arrows left to right,
+    position ``j`` of that group emits ``C_{perm(j)}``; every other height
+    emits right to left.
     """
-    ranks = path.connected_ranks()
-    order = _emission_order(ranks, schedule)
+    order = _emission_order(path.steps, schedule)
     return Path(path.steps[i] for i in order)
 
 
@@ -82,7 +87,7 @@ def hib(path: Path, schedule: PermSchedule) -> PathDiagram:
             f"the increasing guarantee), got {path.to_text()!r}"
         )
     ranks = path.connected_ranks()
-    order = _emission_order(ranks, schedule)
+    order = _emission_order(path.steps, schedule)
     return PathDiagram(
         (path.steps[i] for i in order),
         (ranks[i] for i in order),

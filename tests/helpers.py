@@ -11,7 +11,64 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from sweepmap import Path, PathDiagram, PathKind, PermSchedule, minimal_diagram, table_schedule
+from sweepmap import (
+    Path,
+    PathDiagram,
+    PathKind,
+    PermSchedule,
+    PreconditionError,
+    minimal_diagram,
+    table_schedule,
+)
+
+
+def loop_connected_ranks(steps) -> tuple[int, ...]:
+    """Starting heights of the connected drawing, one running level."""
+    ranks = []
+    level = -sum(steps)
+    for b in steps:
+        ranks.append(level)
+        level += b
+    return tuple(ranks)
+
+
+def loop_is_dyck(steps) -> bool:
+    """Sums to zero and no prefix sum is negative."""
+    if sum(steps) != 0:
+        return False
+    level = 0
+    for b in steps:
+        level += b
+        if level < 0:
+            return False
+    return True
+
+
+def loop_is_incomplete(steps) -> bool:
+    """Sums to ``-a < 0`` and never dips below zero started from ``a``."""
+    if sum(steps) >= 0:
+        return False
+    level = -sum(steps)
+    for b in steps:
+        level += b
+        if level < 0:
+            return False
+    return True
+
+
+def rank_leq(left, right) -> bool:
+    """Pointwise comparison of two rank sequences of equal length."""
+    if len(left) != len(right):
+        raise PreconditionError(
+            f"rank sequences differ in length: {len(left)} vs {len(right)}"
+        )
+    return all(a <= b for a, b in zip(left, right))
+
+
+def vpath(diagram: PathDiagram) -> Path:
+    """Collapse a diagram back to its step sequence: vertical shifts change
+    ranks only, never column order or step values."""
+    return Path(diagram.steps)
 
 
 def tally_row(steps, ranks, j) -> tuple[int, int]:
@@ -149,17 +206,12 @@ def ref_osweep(steps, schedule: PermSchedule | None = None) -> tuple[int, ...]:
 
 def naive_family(values, kind: PathKind) -> list[tuple[int, ...]]:
     """Filter all distinct permutations of ``values`` by the kind's predicate."""
-    result = set()
-    for perm in permutations(values):
-        p = Path(perm)
-        keep = {
-            PathKind.DYCK: p.is_dyck,
-            PathKind.FREE: p.is_free,
-            PathKind.INCOMPLETE: p.is_incomplete,
-        }[kind]
-        if keep:
-            result.add(perm)
-    return sorted(result)
+    keep = {
+        PathKind.DYCK: loop_is_dyck,
+        PathKind.FREE: lambda steps: sum(steps) == 0,
+        PathKind.INCOMPLETE: loop_is_incomplete,
+    }[kind]
+    return sorted({perm for perm in permutations(values) if keep(perm)})
 
 
 def random_schedule(seed: int, max_k: int = 10, default: str = "reverse") -> PermSchedule:

@@ -29,7 +29,6 @@ from sweepmap import (
     oracle_invert,
     osweep,
     osweep_incomplete,
-    rank_leq,
     strip,
     sweep,
     sweep_incomplete,
@@ -41,6 +40,7 @@ from helpers import (
     random_positive_diagram,
     random_ranks_between,
     random_schedule,
+    rank_leq,
     row_count_delta,
 )
 

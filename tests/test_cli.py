@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from sweepmap import Path, VerificationReport, minimal_diagram
+from sweepmap import Path, VerificationReport, cli, minimal_diagram
 from sweepmap.cli import run
 from helpers import ref_vib
 
@@ -99,6 +100,14 @@ class TestEnumerateVerify:
         assert run(["enumerate", "--type", "1^4,-1^4", "--kind", "dyck", "--cap", "3"]) == 2
         _, err = out_of(capsys)
         assert "cap" in err
+
+    def test_enumerate_path_longer_than_recursion_limit(self, capsys):
+        assert run(["enumerate", "--type", "0^1200", "--kind", "free", "--count-only"]) == 0
+        out, _ = out_of(capsys)
+        assert out == "1\n"
+        assert run(["enumerate", "--type", "0^1200", "--kind", "free", "--count-only", "--json"]) == 0
+        out, _ = out_of(capsys)
+        assert json.loads(out)["size"] == 1
 
     def test_verify_pass(self, capsys):
         assert run(["verify", "--type", "1^3,-1^3", "--kind", "dyck", "--schedule", "identity"]) == 0
@@ -215,6 +224,25 @@ class TestTrace:
     def test_trace_rejects_non_dyck(self, capsys):
         assert run(["trace", "--path", "1,-1,-1", "--schedule", "reverse", "--algorithm", "vib"]) == 2
 
+    def test_trace_over_the_record_limit_is_refused(self, capsys):
+        started = time.perf_counter()
+        argv = ["trace", "--path", "2000000000,-1000000000,-1000000000", "--algorithm", "vib"]
+        assert run(argv) == 2
+        assert time.perf_counter() - started < 2.0
+        out, err = out_of(capsys)
+        assert out == ""
+        assert "1000000000 records" in err and str(cli.MAX_TRACE_RECORDS) in err
+
+    def test_trace_record_limit_boundary(self, capsys, monkeypatch):
+        # the worked example lists 5 moves and 6 labels
+        argv = ["trace", "--path", "2,0,2,-3,1,-2", "--algorithm", "invosweep"]
+        monkeypatch.setattr(cli, "MAX_TRACE_RECORDS", 11)
+        assert run(argv) == 0
+        monkeypatch.setattr(cli, "MAX_TRACE_RECORDS", 10)
+        assert run(argv) == 2
+        _, err = out_of(capsys)
+        assert "11 records; the limit is 10" in err
+
 
 class TestRender:
     def test_ascii_file(self, tmp_path, capsys):
@@ -247,6 +275,27 @@ class TestRender:
         for target in (a, b):
             assert run(["render", "--path", "2,0,2,-3,1,-2", "--out", str(target)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("name", ["tall.txt", "tall.svg"])
+    def test_oversized_figure_is_refused(self, name, tmp_path, capsys):
+        out_file = tmp_path / name
+        started = time.perf_counter()
+        assert run(["render", "--path", "1000000000,-1000000000", "--out", str(out_file)]) == 2
+        assert time.perf_counter() - started < 2.0
+        assert not out_file.exists()
+        _, err = out_of(capsys)
+        assert "1000000001-row" in err and str(cli.MAX_FIGURE_SIZE) in err
+
+    def test_figure_size_limit_boundary(self, tmp_path, capsys, monkeypatch):
+        # (2,-2) spans rows 0..2 over 2 columns: 6 ASCII cells, 13 SVG lines
+        for name, size in (("pair.txt", 6), ("pair.svg", 13)):
+            out_file = tmp_path / name
+            monkeypatch.setattr(cli, "MAX_FIGURE_SIZE", size)
+            assert run(["render", "--path", "2,-2", "--out", str(out_file)]) == 0
+            out_file.unlink()
+            monkeypatch.setattr(cli, "MAX_FIGURE_SIZE", size - 1)
+            assert run(["render", "--path", "2,-2", "--out", str(out_file)]) == 2
+            assert not out_file.exists()
 
     def test_bad_extension(self, capsys):
         assert run(["render", "--path", "1,-1", "--out", "figure.png"]) == 2

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from sweepmap import (
@@ -78,6 +80,24 @@ class TestEnumerate:
     def test_cap_exceeded(self):
         with pytest.raises(FamilyCapExceeded):
             list(enumerate_paths(spec("1^4,-1^4", PathKind.DYCK, cap=3)))
+
+    def test_cap_is_checked_lazily(self):
+        family = list(enumerate_paths(spec("1^4,-1^4", PathKind.DYCK)))
+        assert list(enumerate_paths(spec("1^4,-1^4", PathKind.DYCK, cap=14))) == family
+        members = enumerate_paths(spec("1^4,-1^4", PathKind.DYCK, cap=3))
+        assert [next(members) for _ in range(3)] == family[:3]
+        with pytest.raises(FamilyCapExceeded):
+            next(members)
+
+    def test_path_length_beyond_recursion_limit(self):
+        n = sys.getrecursionlimit() + 200
+        assert list(enumerate_paths(spec(f"0^{n}", PathKind.FREE))) == [Path((0,) * n)]
+        members = enumerate_paths(spec(f"1,0^{n},-1", PathKind.DYCK))
+        zeros = (0,) * (n - 1)
+        assert [next(members) for _ in range(2)] == [
+            Path((*zeros, 0, 1, -1)),
+            Path((*zeros, 1, -1, 0)),
+        ]
 
     def test_family_size(self):
         assert family_size(spec("1^4,-1^4", PathKind.DYCK)) == 14

@@ -25,9 +25,7 @@ from sweepmap import (
     is_stable,
     minimal_diagram,
     osweep,
-    rank_leq,
     vib,
-    vpath,
 )
 from helpers import (
     random_dyck_path,
@@ -35,8 +33,10 @@ from helpers import (
     random_ranks_between,
     random_schedule,
     random_walk,
+    rank_leq,
     ref_osweep,
     tally_row_counts,
+    vpath,
 )
 
 SMALL_DYCK_FAMILIES = ("1^2,-1^2", "1^3,-1^3", "3^2,-2^3", "2,0,-1,-1")

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sweepmap import (
@@ -17,9 +17,15 @@ from sweepmap import (
     is_balanced,
     minimal_diagram,
     row_counts,
+)
+from helpers import (
+    loop_connected_ranks,
+    loop_is_dyck,
+    loop_is_incomplete,
+    row_count_delta,
+    tally_row_counts,
     vpath,
 )
-from helpers import row_count_delta, tally_row_counts
 
 steps_lists = st.lists(st.integers(min_value=-5, max_value=5), max_size=10)
 
@@ -197,6 +203,18 @@ class TestClassify:
     def test_incomplete_may_dip_from_zero(self):
         # valid from its start height even though it dips below a zero start
         assert Path((-1, 1, -1)).classify() is PathKind.INCOMPLETE
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(steps_lists)
+    @example([])
+    @example([1, -1, -1])
+    @example([-1, 1, -1])
+    @example([1, -2, 1])
+    def test_predicates_match_loop_oracles(self, steps):
+        p = Path(steps)
+        assert p.connected_ranks() == loop_connected_ranks(steps)
+        assert p.is_dyck == loop_is_dyck(steps)
+        assert p.is_incomplete == loop_is_incomplete(steps)
 
 
 class TestTextForms:

@@ -1,8 +1,18 @@
 import json
+from collections import Counter
 
 import pytest
 
-from sweepmap import CYCLE, IDENTITY, REVERSE, ParseError, ScheduleError, builtin, table_schedule
+from sweepmap import (
+    CYCLE,
+    IDENTITY,
+    REVERSE,
+    ParseError,
+    PermSchedule,
+    ScheduleError,
+    builtin,
+    table_schedule,
+)
 from sweepmap import schedules
 from helpers import random_schedule
 
@@ -56,6 +66,49 @@ class TestLift:
 
     def test_lift_name(self):
         assert REVERSE.lift().name == "lift(reverse)"
+
+    def test_lift_is_built_once(self):
+        for schedule in (REVERSE, IDENTITY, random_schedule(9)):
+            lifted = schedule.lift()
+            perms = [lifted.perm(k) for k in range(8)]
+            assert schedule.lift() is lifted
+            assert [schedule.lift().perm(k) for k in range(8)] == perms
+            assert perms[1:] == [(1, *(v + 1 for v in schedule.perm(k - 1))) for k in range(1, 8)]
+
+
+class TestValidatedOnce:
+    def test_rule_called_once_per_size(self):
+        calls = Counter()
+
+        def rule(k):
+            calls[k] += 1
+            return tuple(range(k, 0, -1))
+
+        counting = PermSchedule("counting", rule)
+        for _ in range(3):
+            assert counting.perm(3) == (3, 2, 1)
+            assert counting.perm(5) == (5, 4, 3, 2, 1)
+            assert counting.lift().perm(4) == (1, 4, 3, 2)
+        assert calls == {3: 1, 5: 1}
+
+    def test_invalid_rule_raises_on_every_call(self):
+        calls = []
+
+        def rule(k):
+            calls.append(k)
+            return (1,) * k
+
+        broken = PermSchedule("broken", rule)
+        for _ in range(3):
+            with pytest.raises(ScheduleError):
+                broken.perm(2)
+        assert calls == [2, 2, 2]
+        assert broken.perm(1) == (1,)
+
+    def test_negative_size_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ScheduleError):
+                REVERSE.perm(-1)
 
 
 class TestTables:

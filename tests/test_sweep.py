@@ -17,9 +17,8 @@ from sweepmap import (
     osweep,
     sweep,
     sweep_order,
-    vpath,
 )
-from helpers import random_schedule, ref_osweep
+from helpers import random_schedule, ref_osweep, vpath
 
 SMALL_DYCK_FAMILIES = ("1^2,-1^2", "1^3,-1^3", "3^2,-2^3", "2,0,-1,-1", "2,1,-1,-2")
 SCHEDULES = (REVERSE, IDENTITY, CYCLE)
