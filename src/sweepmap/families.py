@@ -10,6 +10,7 @@ hopeless prefixes are abandoned as soon as the height condition fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterator
 
 from .errors import BijectionError, FamilyCapExceeded, PreconditionError
@@ -123,7 +124,12 @@ def oracle_invert(path: Path, schedule: PermSchedule, cap: int = DEFAULT_CAP) ->
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of an exhaustive bijectivity check over one family."""
+    """Outcome of an exhaustive bijectivity check over one family.
+
+    ``counterexample`` is the first member, in enumeration order, whose image
+    repeats an earlier member's, leaves the family, or fails a round trip;
+    ``None`` when the check passed.
+    """
 
     family: str
     kind: str
@@ -133,6 +139,7 @@ class VerificationReport:
     closed: bool
     roundtrip: bool
     passed: bool
+    counterexample: str | None = None
 
     def as_record(self) -> dict:
         return {
@@ -144,6 +151,7 @@ class VerificationReport:
             "closed": self.closed,
             "roundtrip": self.roundtrip,
             "pass": self.passed,
+            "counterexample": self.counterexample,
         }
 
     def to_text(self) -> str:
@@ -155,8 +163,10 @@ class VerificationReport:
             f"injective: {str(self.injective).lower()}",
             f"closed:    {str(self.closed).lower()}",
             f"roundtrip: {str(self.roundtrip).lower()}",
-            "PASS" if self.passed else "FAIL",
         ]
+        if not self.passed:
+            lines.append(f"counterexample: {self.counterexample}")
+        lines.append("PASS" if self.passed else "FAIL")
         return "\n".join(lines)
 
 
@@ -164,7 +174,12 @@ def verify_bijection(spec: EnumerationSpec, schedule: PermSchedule) -> Verificat
     """Exhaustively check that the order sweep map permutes the family.
 
     Dyck families round-trip against the inversion pipeline; incomplete
-    families against its conjugation by completion.
+    families against its conjugation by completion.  Both round trips,
+    ``backward(forward(p)) == p`` and ``forward(backward(p)) == p``, are
+    checked for every member, but within one call each map runs at most once
+    per distinct path: on a family the map permutes, every member is mapped
+    and inverted exactly once.  On failure, finding the first counterexample
+    may apply the maps to members the short-circuited checks skipped.
     """
     if spec.kind is PathKind.DYCK:
         forward: Callable[[Path], Path] = lambda p: osweep(p, schedule)
@@ -177,6 +192,7 @@ def verify_bijection(spec: EnumerationSpec, schedule: PermSchedule) -> Verificat
             f"verification covers dyck and incomplete families, not {spec.kind.value!r}"
         )
 
+    forward, backward = cache(forward), cache(backward)
     members = list(enumerate_paths(spec))
     family = set(members)
     images = [forward(p) for p in members]
@@ -186,6 +202,18 @@ def verify_bijection(spec: EnumerationSpec, schedule: PermSchedule) -> Verificat
         forward(backward(p)) == p for p in members
     )
     passed = injective and closed and roundtrip
+    counterexample = None
+    if not passed:
+        # An image shared by two members inverts to at most one of them, so
+        # the first round trip fails at or before the member that repeats it.
+        counterexample = next(
+            (
+                p.to_text()
+                for p, image in zip(members, images)
+                if image not in family or backward(image) != p or forward(backward(p)) != p
+            ),
+            None,
+        )
     return VerificationReport(
         family=spec.multiset.to_text(),
         kind=spec.kind.value,
@@ -195,4 +223,5 @@ def verify_bijection(spec: EnumerationSpec, schedule: PermSchedule) -> Verificat
         closed=closed,
         roundtrip=roundtrip,
         passed=passed,
+        counterexample=counterexample,
     )

@@ -140,8 +140,7 @@ class VibTrace:
         return len(self.moves)
 
 
-@dataclass(frozen=True)
-class HPathLabel:
+class HPathLabel(NamedTuple):
     """Label ``i`` placed on the arrow in 1-based ``column``, selected at ``level``."""
 
     round: int
@@ -150,12 +149,7 @@ class HPathLabel:
     level: int
 
     def as_record(self) -> dict:
-        return {
-            "round": self.round,
-            "i": self.i,
-            "column": self.column,
-            "level": self.level,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -464,9 +458,7 @@ def hpath(
                 rightmost[level] = j - 1
             labeled[j] = True
             label_order.append(j)
-            labels.append(
-                HPathLabel(round=len(rounds) + 1, i=i, column=j + 1, level=ranks[j])
-            )
+            labels.append(HPathLabel(len(rounds) + 1, i, j + 1, ranks[j]))
             level = ranks[j] + steps[j]
 
         if not stuck:

@@ -131,6 +131,7 @@ class TestEnumerateVerify:
             "closed": True,
             "roundtrip": True,
             "pass": True,
+            "counterexample": None,
         }
 
     def test_verify_dry_run(self, capsys):

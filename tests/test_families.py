@@ -2,6 +2,8 @@ import sys
 
 import pytest
 
+import sweepmap
+import sweepmap.families as families_module
 from sweepmap import (
     CYCLE,
     IDENTITY,
@@ -184,6 +186,7 @@ class TestVerify:
             "closed",
             "roundtrip",
             "pass",
+            "counterexample",
         ]
         assert record["pass"] is True
 
@@ -195,3 +198,101 @@ class TestVerify:
         text = verify_bijection(spec("1^2,-1^2", PathKind.DYCK), REVERSE).to_text()
         assert text.endswith("PASS")
         assert "size:      2" in text
+
+
+def _patched(monkeypatch, name, wrong):
+    """Replace the map ``name`` seen by ``verify_bijection``: ``wrong`` maps
+    some paths to chosen results, every other path goes to the real map."""
+    real = getattr(sweepmap, name)
+    monkeypatch.setattr(
+        families_module, name, lambda p, schedule: wrong[p] if p in wrong else real(p, schedule)
+    )
+
+
+class TestVerifyCatchesBrokenMaps:
+    # Under REVERSE the family 1^3,-1^3 is m0..m4 in enumeration order and
+    # osweep sends m0->m4, m1->m3, m2->m2, m3->m1, m4->m0.
+    M = list(enumerate_paths(spec("1^3,-1^3", PathKind.DYCK)))
+
+    def verify(self):
+        return verify_bijection(spec("1^3,-1^3", PathKind.DYCK), REVERSE)
+
+    def test_wrong_preimage(self, monkeypatch):
+        m = self.M
+        # m1's true preimage is m3: the first round trip fails at m3, but the
+        # second, forward(backward(m1)) = osweep(m2) = m2, already at m1
+        _patched(monkeypatch, "inv_osweep", {m[1]: m[2]})
+        report = self.verify()
+        assert report.injective and report.closed
+        assert not report.roundtrip and not report.passed
+        assert report.counterexample == m[1].to_text() == "1,-1,1,1,-1,-1"
+        assert report.to_text().endswith("counterexample: 1,-1,1,1,-1,-1\nFAIL")
+
+    def test_two_members_to_one_image(self, monkeypatch):
+        m = self.M
+        _patched(monkeypatch, "osweep", {m[1]: m[4]})  # m0's image as well
+        report = self.verify()
+        assert not report.injective and report.closed
+        assert not report.roundtrip and not report.passed
+        assert report.counterexample == m[1].to_text()
+
+    def test_image_outside_family(self, monkeypatch):
+        m = self.M
+        _patched(monkeypatch, "osweep", {m[2]: Path((2, -1, -1))})
+        report = self.verify()
+        assert report.injective and not report.closed
+        assert not report.roundtrip and not report.passed
+        assert report.counterexample == m[2].to_text() == "1,1,-1,-1,1,-1"
+        assert report.as_record()["counterexample"] == "1,1,-1,-1,1,-1"
+
+    def test_only_closure_fails_at_the_counterexample(self, monkeypatch):
+        m = self.M
+        outside = Path((2, -1, -1))
+        # both maps agree on m1 <-> outside, so m1 round-trips; m3, whose
+        # true image is m1, is the first member to fail a round trip
+        _patched(monkeypatch, "osweep", {m[1]: outside})
+        _patched(monkeypatch, "inv_osweep", {outside: m[1]})
+        report = self.verify()
+        assert report.injective and not report.closed
+        assert not report.roundtrip and not report.passed
+        assert report.counterexample == m[1].to_text()
+
+    def test_incomplete_wrong_preimage(self, monkeypatch):
+        # Under CYCLE the family 1^2,-1^3 is n0..n4 and n2 is its own image
+        n = list(enumerate_paths(spec("1^2,-1^3", PathKind.INCOMPLETE)))
+        _patched(monkeypatch, "inv_osweep_incomplete", {n[2]: n[0]})
+        report = verify_bijection(spec("1^2,-1^3", PathKind.INCOMPLETE), CYCLE)
+        assert report.injective and report.closed
+        assert not report.roundtrip and not report.passed
+        assert report.counterexample == n[2].to_text() == "1,-1,-1,1,-1"
+
+    def test_passing_report_has_no_counterexample(self):
+        report = self.verify()
+        assert report.passed and report.counterexample is None
+        assert "counterexample" not in report.to_text()
+
+
+@pytest.mark.parametrize(
+    "text,kind,schedule,maps",
+    [
+        ("1^4,-1^4", PathKind.DYCK, REVERSE, ("osweep", "inv_osweep")),
+        ("1^2,-1^3", PathKind.INCOMPLETE, CYCLE, ("osweep_incomplete", "inv_osweep_incomplete")),
+    ],
+)
+def test_verify_maps_and_inverts_each_member_once(monkeypatch, text, kind, schedule, maps):
+    calls = dict.fromkeys(maps, 0)
+
+    def counted(name):
+        real = getattr(sweepmap, name)
+
+        def call(p, s):
+            calls[name] += 1
+            return real(p, s)
+
+        return call
+
+    for name in maps:
+        monkeypatch.setattr(families_module, name, counted(name))
+    report = verify_bijection(spec(text, kind), schedule)
+    assert report.passed and report.size == family_size(spec(text, kind)) > 1
+    assert calls == dict.fromkeys(maps, report.size)

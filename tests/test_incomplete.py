@@ -1,6 +1,8 @@
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweepmap import (
     CYCLE,
@@ -21,6 +23,8 @@ from sweepmap import (
     sweep_incomplete,
 )
 from helpers import random_schedule
+
+SCHEDULES = (REVERSE, IDENTITY, CYCLE)
 
 
 def incomplete_family(text):
@@ -150,6 +154,33 @@ class TestInversionConjugation:
     def test_rejects_non_incomplete(self):
         with pytest.raises(PreconditionError):
             inv_osweep_incomplete(Path((1, -1)), REVERSE)
+
+
+@st.composite
+def incomplete_walks(draw, max_step=60, max_size=10):
+    """Incomplete Dyck paths of at most ``max_size`` steps in
+    [-max_step, max_step]: a walk from a positive height that never dips
+    below zero, closed to zero by down steps."""
+    level = draw(st.integers(1, max_step))
+    steps = []
+    for b in draw(st.lists(st.integers(-max_step, max_step), max_size=max_size)):
+        room = max_size - len(steps) - 1  # steps left to close the walk after b
+        b = min(max(b, -level), max_step * room - level)
+        steps.append(b)
+        level += b
+    while level:
+        steps.append(-min(max_step, level))
+        level -= min(max_step, level)
+    return Path(steps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(incomplete_walks(), st.sampled_from(SCHEDULES))
+def test_property_large_step_round_trips(path, schedule):
+    assert path.is_incomplete and len(path) <= 10
+    assert max(map(abs, path)) <= 60
+    assert inv_osweep_incomplete(osweep_incomplete(path, schedule), schedule) == path
+    assert osweep_incomplete(inv_osweep_incomplete(path, schedule), schedule) == path
 
 
 @pytest.mark.slow
