@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from itertools import chain, islice
 
 from . import families, render, schedules
 from .errors import (
@@ -22,7 +23,6 @@ from .errors import (
     PreconditionError,
     ScheduleError,
 )
-from .incomplete import complete, inv_osweep_incomplete, strip
 from .invert import invert_pipeline
 from .paths import Path, PathDiagram, PathKind, StepMultiset, connected_diagram, parse_int_list
 from .sweep import osweep, sweep
@@ -53,10 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="builtin name (reverse|identity|cycle), inline JSON, or a JSON file",
         )
 
-    def add_kind(p):
+    def add_kind(p, kinds=("dyck", "free", "incomplete")):
         p.add_argument(
             "--kind",
-            choices=["auto", "dyck", "free", "incomplete"],
+            choices=["auto", *kinds],
             default="auto",
             help="force how the path is interpreted (default: classify automatically)",
         )
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_invert = sub.add_parser("invert", help="invert the order sweep map")
     add_path(p_invert)
     add_schedule(p_invert)
-    add_kind(p_invert)
+    add_kind(p_invert, ("dyck", "incomplete"))  # what the pipeline inverts
     p_invert.add_argument(
         "--oracle",
         action="store_true",
@@ -116,11 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _interpret(args) -> tuple[Path, PathKind]:
+def _interpret(args) -> Path:
     path = Path.from_text(args.path)
     forced = getattr(args, "kind", "auto")
     if forced == "auto":
-        return path, path.classify()
+        return path
     kind = PathKind(forced)
     if kind is PathKind.DYCK and not path.is_dyck:
         raise PreconditionError(f"--kind dyck but {args.path!r} is not a Dyck path")
@@ -128,7 +128,7 @@ def _interpret(args) -> tuple[Path, PathKind]:
         raise PreconditionError(f"--kind free but {args.path!r} does not sum to zero")
     if kind is PathKind.INCOMPLETE and not path.is_incomplete:
         raise PreconditionError(f"--kind incomplete but {args.path!r} is not an incomplete Dyck path")
-    return path, kind
+    return path
 
 
 def _emit_path(path: Path, as_json: bool) -> None:
@@ -139,34 +139,23 @@ def _emit_path(path: Path, as_json: bool) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    path, _ = _interpret(args)
+    path = _interpret(args)
     _emit_path(sweep(path), args.json)
     return 0
 
 
 def _cmd_osweep(args) -> int:
-    path, _ = _interpret(args)
+    path = _interpret(args)
     _emit_path(osweep(path, schedules.from_text(args.schedule)), args.json)
     return 0
 
 
 def _cmd_invert(args) -> int:
-    path, kind = _interpret(args)
+    path = _interpret(args)
     schedule = schedules.from_text(args.schedule)
-    if kind is PathKind.INCOMPLETE:
-        preimage = inv_osweep_incomplete(path, schedule)
-    elif kind is PathKind.DYCK:
-        preimage = invert_pipeline(path, schedule).preimage
-    else:
-        raise PreconditionError(
-            f"inversion is defined for dyck and incomplete paths; "
-            f"{args.path!r} classifies as {kind.value}"
-        )
+    preimage = invert_pipeline(path, schedule).preimage
     if args.oracle:
-        if kind is PathKind.INCOMPLETE:
-            expected = strip(families.oracle_invert(complete(path), schedule.lift()))
-        else:
-            expected = families.oracle_invert(path, schedule)
+        expected = families.oracle_invert(path, schedule)
         if expected != preimage:
             print(
                 f"oracle mismatch: pipeline {preimage.to_text()}, "
@@ -218,51 +207,44 @@ def _cmd_verify(args) -> int:
 
 def _cmd_trace(args) -> int:
     path = Path.from_text(args.path)
-    schedule = schedules.from_text(args.schedule)
-    if not path.is_dyck:
-        raise PreconditionError(
-            f"trace runs the inversion pipeline, which needs a Dyck path; "
-            f"got {args.path!r}"
-        )
-    result = invert_pipeline(path, schedule)
-    size = 0
-    if args.algorithm in ("vib", "invosweep"):
-        size += len(result.vib_trace.moves)
-    if args.algorithm in ("hpath", "invosweep"):
-        size += sum(len(rnd.labels) for rnd in result.hpath_trace.rounds)
+    result = invert_pipeline(path, schedules.from_text(args.schedule))
+    moves = result.vib_trace.moves if args.algorithm != "hpath" else ()
+    rounds = result.hpath_trace.rounds if args.algorithm != "vib" else ()
+    size = len(moves) + sum(len(rnd.labels) for rnd in rounds)
     if size > MAX_TRACE_RECORDS:
         raise PreconditionError(
             f"the {args.algorithm} trace has {size} records; the limit is {MAX_TRACE_RECORDS}"
         )
-    records: list[dict] = []
-    lines: list[str] = []
-    if args.algorithm in ("vib", "invosweep"):
-        for move in result.vib_trace.moves:
-            records.append(move.as_record())
-            lines.append(
-                f"move {move.step}: row {move.row}, column {move.column}, "
-                f"rank {move.before} -> {move.after}"
-            )
-        lines.append(
-            f"{len(result.vib_trace.moves)} moves; final ranks "
-            f"{','.join(str(r) for r in result.vib_trace.final_ranks)}"
+    # Written as produced, so memory stays flat whatever the trace's length.
+    write = sys.stdout.write
+    if args.json:
+        # the bytes of one json.dumps of the whole list, encoded in batches
+        records = chain(
+            (move.as_record() for move in moves),
+            (label.as_record() for rnd in rounds for label in rnd.labels),
         )
-    if args.algorithm in ("hpath", "invosweep"):
-        for rnd in result.hpath_trace.rounds:
+        write("[")
+        for i, batch in enumerate(iter(lambda: list(islice(records, 1024)), [])):
+            write((", " if i else "") + json.dumps(batch)[1:-1])
+        write("]\n")
+        return 0
+    if args.algorithm != "hpath":
+        for move in moves:
+            write(
+                f"move {move.step}: row {move.row}, column {move.column}, "
+                f"rank {move.before} -> {move.after}\n"
+            )
+        write(f"{len(moves)} moves; final ranks {','.join(map(str, result.vib_trace.final_ranks))}\n")
+    if args.algorithm != "vib":
+        for rnd in rounds:
             for label in rnd.labels:
-                records.append(label.as_record())
-                lines.append(
+                write(
                     f"round {label.round}: label {label.i} -> column {label.column} "
-                    f"(level {label.level})"
+                    f"(level {label.level})\n"
                 )
             if rnd.stop_reason == "completed":
-                lines.append(f"round {rnd.labels[-1].round if rnd.labels else 1}: completed")
-        lines.append(f"preimage {result.preimage.to_text()}")
-    if args.json:
-        print(json.dumps(records))
-    else:
-        for line in lines:
-            print(line)
+                write(f"round {rnd.labels[-1].round if rnd.labels else 1}: completed\n")
+        write(f"preimage {result.preimage.to_text()}\n")
     return 0
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import BijectionError, FamilyCapExceeded, PreconditionError
-from .incomplete import inv_osweep_incomplete, osweep_incomplete
 from .invert import inv_osweep
 from .paths import Path, PathKind, StepMultiset
 from .schedules import PermSchedule
@@ -103,16 +102,12 @@ def family_size(spec: EnumerationSpec) -> int:
 def oracle_invert(path: Path, schedule: PermSchedule, cap: int = DEFAULT_CAP) -> Path:
     """Invert the order sweep map by exhausting the whole family.
 
-    Completely independent of the inversion pipeline: enumerate every Dyck
-    path of the same type, apply the forward map, and return the unique
-    preimage.  Zero or several preimages would falsify bijectivity and raise
-    :class:`BijectionError`.
+    Completely independent of the inversion pipeline: enumerate every path
+    of the same type and kind (Dyck or incomplete), apply the forward map,
+    and return the unique preimage.  Zero or several preimages would falsify
+    bijectivity and raise :class:`BijectionError`.
     """
-    if not path.is_dyck:
-        raise PreconditionError(
-            f"oracle inversion is defined for Dyck paths only, got {path.to_text()!r}"
-        )
-    spec = EnumerationSpec(path.type_of(), PathKind.DYCK, cap=cap)
+    spec = EnumerationSpec(path.type_of(), path.classify(), cap=cap)
     preimages = [q for q in enumerate_paths(spec) if osweep(q, schedule) == path]
     if len(preimages) != 1:
         raise BijectionError(
@@ -173,26 +168,20 @@ class VerificationReport:
 def verify_bijection(spec: EnumerationSpec, schedule: PermSchedule) -> VerificationReport:
     """Exhaustively check that the order sweep map permutes the family.
 
-    Dyck families round-trip against the inversion pipeline; incomplete
-    families against its conjugation by completion.  Both round trips,
-    ``backward(forward(p)) == p`` and ``forward(backward(p)) == p``, are
-    checked for every member, but within one call each map runs at most once
-    per distinct path: on a family the map permutes, every member is mapped
-    and inverted exactly once.  On failure, finding the first counterexample
-    may apply the maps to members the short-circuited checks skipped.
+    The maps are ``osweep`` and ``inv_osweep`` for Dyck and incomplete
+    families alike.  Both round trips, ``backward(forward(p)) == p`` and
+    ``forward(backward(p)) == p``, are checked for every member, but within
+    one call each map runs at most once per distinct path: on a family the
+    map permutes, every member is mapped and inverted exactly once.  On
+    failure, finding the first counterexample may apply the maps to members
+    the short-circuited checks skipped.
     """
-    if spec.kind is PathKind.DYCK:
-        forward: Callable[[Path], Path] = lambda p: osweep(p, schedule)
-        backward: Callable[[Path], Path] = lambda p: inv_osweep(p, schedule)
-    elif spec.kind is PathKind.INCOMPLETE:
-        forward = lambda p: osweep_incomplete(p, schedule)
-        backward = lambda p: inv_osweep_incomplete(p, schedule)
-    else:
+    if spec.kind not in (PathKind.DYCK, PathKind.INCOMPLETE):
         raise PreconditionError(
             f"verification covers dyck and incomplete families, not {spec.kind.value!r}"
         )
-
-    forward, backward = cache(forward), cache(backward)
+    forward = cache(lambda p: osweep(p, schedule))
+    backward = cache(lambda p: inv_osweep(p, schedule))
     members = list(enumerate_paths(spec))
     family = set(members)
     images = [forward(p) for p in members]

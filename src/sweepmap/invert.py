@@ -1,6 +1,7 @@
 """Inverting the order sweep map.
 
-The pipeline runs in three stages on a Dyck path ``D``:
+The pipeline runs in three stages on a Dyck path ``D`` (on an incomplete
+path, on its completion under the lifted schedule; see :func:`invert_pipeline`):
 
 1. place the arrows minimally (:func:`sweepmap.paths.minimal_diagram`);
 2. raise arrows one height at a time until every row count vanishes
@@ -40,9 +41,11 @@ from .paths import (
     Path,
     PathDiagram,
     _breakpoints,
+    complete,
     connected_diagram,
     is_balanced,
     minimal_diagram,
+    strip,
 )
 from .schedules import REVERSE, PermSchedule
 
@@ -174,7 +177,8 @@ class HPathTrace:
 
 @dataclass(frozen=True)
 class InversionResult:
-    """Everything the inversion pipeline produced, traces included."""
+    """Everything the inversion pipeline produced, traces included; for an
+    incomplete path, all but ``preimage`` are those of its completion."""
 
     preimage: Path
     minimal: PathDiagram
@@ -533,20 +537,26 @@ def invert_pipeline(
     schedule: PermSchedule,
     *,
     checks: str = "error",
-    step_cap: int | None = None,
 ) -> InversionResult:
     """Run the full inversion (minimal placement, balancing, labeling tour).
 
-    The balanced diagram reached from the minimal placement is always stable,
-    so the labeling never restarts; that claim is itself checked.
+    Takes a Dyck or an incomplete Dyck path; an incomplete one runs on its
+    completion under ``schedule.lift()`` and its preimage is stripped.  The
+    balanced diagram reached from the minimal placement is always stable, so
+    the labeling never restarts; that claim is itself checked.
     """
     mode = _validate_mode(checks)
-    if not path.is_dyck:
+    if path.is_dyck:
+        dyck = path
+    elif path.is_incomplete:
+        dyck, schedule = complete(path), schedule.lift()
+    else:
         raise PreconditionError(
-            f"inversion is defined for Dyck paths only, got {path.to_text()!r}"
+            f"inversion is defined for dyck and incomplete paths; "
+            f"{path.to_text()!r} classifies as {path.classify().value}"
         )
-    minimal = minimal_diagram(path)
-    balanced, vib_trace = vib(minimal, checks=checks, step_cap=step_cap)
+    minimal = minimal_diagram(dyck)
+    balanced, vib_trace = vib(minimal, checks=checks)
     preimage, hpath_trace = hpath(balanced, schedule, checks=checks)
     _check(
         len(hpath_trace.rounds) == 1,
@@ -554,7 +564,7 @@ def invert_pipeline(
         "balanced diagram from the minimal placement was not stable",
     )
     return InversionResult(
-        preimage=preimage,
+        preimage=preimage if dyck is path else strip(preimage),
         minimal=minimal,
         balanced=balanced,
         vib_trace=vib_trace,
@@ -563,5 +573,6 @@ def invert_pipeline(
 
 
 def inv_osweep(path: Path, schedule: PermSchedule, *, checks: str = "error") -> Path:
-    """The preimage of ``path`` under the order sweep map with ``schedule``."""
+    """The preimage of ``path``, a Dyck or an incomplete Dyck path, under the
+    order sweep map with ``schedule``."""
     return invert_pipeline(path, schedule, checks=checks).preimage

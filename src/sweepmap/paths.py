@@ -7,7 +7,8 @@ connected or pulled apart vertically.  Row ``j`` is the horizontal strip
 between heights ``j`` and ``j+1``; its count is the number of up-arrow
 segments crossing it minus the number of down-arrow segments.  A diagram is
 *balanced* when every row count is zero, the pivotal property for inverting
-the sweep maps defined in :mod:`sweepmap.sweep`.
+the sweep maps defined in :mod:`sweepmap.sweep`.  :func:`complete` and
+:func:`strip` carry incomplete Dyck paths to Dyck paths and back.
 
 All values here are immutable and all operations are pure functions, so they
 can be shared freely across threads.
@@ -21,6 +22,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping
 
@@ -128,6 +130,39 @@ class Path:
         return ",".join(str(b) for b in self.steps)
 
 
+def _require_incomplete(path: Path, op: str) -> None:
+    if not path.is_incomplete:
+        raise PreconditionError(
+            f"{op} needs an incomplete Dyck path (negative total, no dip "
+            f"below zero from its start height), got {path.to_text()!r}"
+        )
+
+
+def complete(path: Path) -> Path:
+    """Prefix the up step that closes the height deficit, yielding a Dyck path."""
+    _require_incomplete(path, "complete")
+    return Path((path.start_level, *path.steps))
+
+
+def strip(path: Path) -> Path:
+    """Drop the first step; inverse of :func:`complete`.
+
+    The first step must be positive and the remainder must be an incomplete
+    Dyck path whose deficit equals that first step.
+    """
+    if len(path) == 0:
+        raise PreconditionError("strip needs a nonempty path")
+    head, rest = path.steps[0], Path(path.steps[1:])
+    if head <= 0:
+        raise PreconditionError(f"strip needs a positive first step, got {head}")
+    if not rest.is_incomplete or rest.start_level != head:
+        raise PreconditionError(
+            f"suffix of {path.to_text()!r} is not an incomplete Dyck path "
+            f"with deficit {head}"
+        )
+    return rest
+
+
 def arrow_color(step: int) -> str:
     """Drawing color of an arrow: up steps red, down blue, level purple."""
     if step > 0:
@@ -156,7 +191,7 @@ class PathDiagram:
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
+    @cached_property
     def end_ranks(self) -> tuple[int, ...]:
         return tuple(r + b for r, b in zip(self.ranks, self.steps))
 

@@ -1,9 +1,26 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sweepmap import Path, VerificationReport, cli, minimal_diagram
+from sweepmap import (
+    CYCLE,
+    IDENTITY,
+    REVERSE,
+    Path,
+    PermSchedule,
+    VerificationReport,
+    cli,
+    inv_osweep,
+    invert_pipeline,
+    minimal_diagram,
+    osweep,
+    sweep,
+)
 from sweepmap.cli import run
 from helpers import ref_vib
 
@@ -78,6 +95,15 @@ class TestInvert:
         assert run(["invert", "--path", "-1,1", "--schedule", "reverse"]) == 2
         _, err = out_of(capsys)
         assert "other" in err
+
+    def test_oracle_shares_no_code_with_the_conjugation(self, capsys, monkeypatch):
+        # A lift that does nothing breaks the pipeline's conjugation.  The
+        # table inversion enumerates the incomplete family itself, so it
+        # disagrees instead of repeating the fault.
+        monkeypatch.setattr(PermSchedule, "lift", lambda self: self)
+        assert run(["invert", "--path", "2,-1,-1,-1", "--schedule", "reverse", "--oracle"]) == 1
+        _, err = out_of(capsys)
+        assert err == "oracle mismatch: pipeline -1,-1,1,-1, table -1,2,-1,-1\n"
 
 
 class TestEnumerateVerify:
@@ -222,8 +248,42 @@ class TestTrace:
         assert "round 1: label 6" in out
         assert out.strip().endswith("preimage 0,2,2,1,-2,-3")
 
+    def test_incomplete_trace_is_the_completions(self, capsys):
+        # 1,-1,-1 completes to 1,1,-1,-1, whose minimal placement is balanced
+        argv = ["trace", "--path", "1,-1,-1", "--schedule", "reverse", "--algorithm", "invosweep"]
+        assert run(argv) == 0
+        assert out_of(capsys)[0] == (
+            "0 moves; final ranks 0,0,1,1\n"
+            "round 1: label 1 -> column 1 (level 0)\n"
+            "round 1: label 2 -> column 4 (level 1)\n"
+            "round 1: label 3 -> column 2 (level 0)\n"
+            "round 1: label 4 -> column 3 (level 1)\n"
+            "round 1: completed\n"
+            "preimage -1,1,-1\n"
+        )
+        assert run(argv + ["--json"]) == 0
+        assert out_of(capsys)[0] == (
+            '[{"round": 1, "i": 1, "column": 1, "level": 0}, '
+            '{"round": 1, "i": 2, "column": 4, "level": 1}, '
+            '{"round": 1, "i": 3, "column": 2, "level": 0}, '
+            '{"round": 1, "i": 4, "column": 3, "level": 1}]\n'
+        )
+
+    def test_json_trace_over_several_batches(self, capsys):
+        # 2500 moves and 3 labels: the records are encoded in batches
+        path = Path((5000, -2500, -2500))
+        result = invert_pipeline(path, REVERSE)
+        records = [move.as_record() for move in result.vib_trace.moves]
+        records += [label.as_record() for label in result.hpath_trace.labels]
+        assert len(records) == 2503
+        assert run(["trace", "--path", path.to_text(), "--algorithm", "invosweep", "--json"]) == 0
+        assert out_of(capsys)[0] == json.dumps(records) + "\n"
+
     def test_trace_rejects_non_dyck(self, capsys):
-        assert run(["trace", "--path", "1,-1,-1", "--schedule", "reverse", "--algorithm", "vib"]) == 2
+        # incomplete paths trace through their completion; other paths do not
+        for text in ("-1,1", "1,1"):
+            assert run(["trace", "--path", text, "--schedule", "reverse", "--algorithm", "vib"]) == 2
+            assert "classifies as other" in out_of(capsys)[1]
 
     def test_trace_over_the_record_limit_is_refused(self, capsys):
         started = time.perf_counter()
@@ -316,3 +376,44 @@ class TestUsage:
         assert run(["--help"]) == 0
         out, _ = out_of(capsys)
         assert "subcommands" in out or "sweep" in out
+
+
+@st.composite
+def dyck_or_incomplete_paths(draw, max_step=5, max_size=10):
+    """A walk from height ``start`` that never dips below zero, closed to
+    zero: a Dyck path when ``start`` is 0, an incomplete one otherwise."""
+    start = level = draw(st.one_of(st.just(0), st.integers(1, max_step)))
+    steps = []
+    for b in draw(st.lists(st.integers(-max_step, max_step), max_size=max_size)):
+        steps.append(max(b, -level))
+        level += steps[-1]
+    while level:
+        steps.append(-min(max_step, level))
+        level += steps[-1]
+    path = Path(steps)
+    assert path.is_dyck if start == 0 else path.is_incomplete
+    return path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    dyck_or_incomplete_paths(),
+    st.sampled_from(["sweep", "osweep", "invert"]),
+    st.sampled_from([("reverse", REVERSE), ("identity", IDENTITY), ("cycle", CYCLE)]),
+    st.booleans(),
+)
+def test_property_path_output_parses_back(path, command, schedule, as_json):
+    name, schedule = schedule
+    argv = [command, "--path", path.to_text()]
+    if command == "sweep":
+        expected = sweep(path)
+    else:
+        argv += ["--schedule", name]
+        expected = (osweep if command == "osweep" else inv_osweep)(path, schedule)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv + ["--json"] * as_json) == 0
+    text = out.getvalue()
+    assert text.endswith("\n") and text.count("\n") == 1
+    printed = Path(json.loads(text)) if as_json else Path.from_text(text)
+    assert printed == expected

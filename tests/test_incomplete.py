@@ -15,7 +15,10 @@ from sweepmap import (
     StepMultiset,
     complete,
     enumerate_paths,
+    inv_osweep,
     inv_osweep_incomplete,
+    invert_pipeline,
+    oracle_invert,
     osweep,
     osweep_incomplete,
     strip,
@@ -154,6 +157,17 @@ class TestInversionConjugation:
     def test_rejects_non_incomplete(self):
         with pytest.raises(PreconditionError):
             inv_osweep_incomplete(Path((1, -1)), REVERSE)
+
+    def test_pipeline_inverts_through_the_completion(self):
+        for text in ("1,-1^2", "1^2,-1^3", "2,1,-1^2,-2", "0,1,-1^3"):
+            for schedule in (REVERSE, IDENTITY, CYCLE, random_schedule(5)):
+                for p in incomplete_family(text):
+                    result = invert_pipeline(p, schedule)
+                    completed = invert_pipeline(complete(p), schedule.lift())
+                    assert result.preimage == strip(completed.preimage)
+                    assert (result.minimal, result.balanced) == (completed.minimal, completed.balanced)
+                    # the table inversion enumerates the incomplete family itself
+                    assert oracle_invert(p, schedule) == inv_osweep(p, schedule)
 
 
 @st.composite

@@ -267,5 +267,13 @@ class TestDiagramType:
         assert not PathDiagram((1,), (-2,)).is_positive
         assert not PathDiagram((1, -1), (1, 0)).is_increasing
 
+    def test_end_ranks_computed_once(self):
+        d = PathDiagram((2, -1), (0, 3))
+        assert d.end_ranks is d.end_ranks
+        # the cached value is no field: equality, hash and repr are unchanged
+        twin = PathDiagram((2, -1), (0, 3))
+        assert d == twin and hash(d) == hash(twin)
+        assert repr(d) == repr(twin) == "PathDiagram(steps=(2, -1), ranks=(0, 3))"
+
     def test_type_of(self, fig_path):
         assert fig_path.type_of() == StepMultiset.from_text("2^2,1,0,-2,-3")
