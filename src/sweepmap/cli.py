@@ -24,7 +24,7 @@ from .errors import (
     ScheduleError,
 )
 from .invert import invert_pipeline
-from .paths import Path, PathDiagram, PathKind, StepMultiset, connected_diagram, parse_int_list
+from .paths import Path, PathDiagram, PathKind, StepMultiset, _require_kind, connected_diagram, parse_int_list
 from .sweep import osweep, sweep
 
 # Output bounds, past which ``trace`` and ``render`` exit 2 instead of
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--kind",
             choices=["auto", *kinds],
             default="auto",
-            help="force how the path is interpreted (default: classify automatically)",
+            help="require the path to be of this kind, else exit 2 (default: any kind)",
         )
 
     def add_json(p):
@@ -119,15 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _interpret(args) -> Path:
     path = Path.from_text(args.path)
     forced = getattr(args, "kind", "auto")
-    if forced == "auto":
-        return path
-    kind = PathKind(forced)
-    if kind is PathKind.DYCK and not path.is_dyck:
-        raise PreconditionError(f"--kind dyck but {args.path!r} is not a Dyck path")
-    if kind is PathKind.FREE and not path.is_free:
+    if forced == "free" and not path.is_free:
         raise PreconditionError(f"--kind free but {args.path!r} does not sum to zero")
-    if kind is PathKind.INCOMPLETE and not path.is_incomplete:
-        raise PreconditionError(f"--kind incomplete but {args.path!r} is not an incomplete Dyck path")
+    if forced in ("dyck", "incomplete"):
+        _require_kind(path, f"--kind {forced}", PathKind(forced))
     return path
 
 

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .errors import BijectionError, FamilyCapExceeded, PreconditionError
 from .invert import inv_osweep
-from .paths import Path, PathKind, StepMultiset
+from .paths import Path, PathKind, StepMultiset, _require_kind
 from .schedules import PermSchedule
 from .sweep import osweep
 
@@ -107,6 +107,7 @@ def oracle_invert(path: Path, schedule: PermSchedule, cap: int = DEFAULT_CAP) ->
     and return the unique preimage.  Zero or several preimages would falsify
     bijectivity and raise :class:`BijectionError`.
     """
+    _require_kind(path, "oracle_invert", PathKind.DYCK, PathKind.INCOMPLETE)
     spec = EnumerationSpec(path.type_of(), path.classify(), cap=cap)
     preimages = [q for q in enumerate_paths(spec) if osweep(q, schedule) == path]
     if len(preimages) != 1:

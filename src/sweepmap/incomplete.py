@@ -9,26 +9,26 @@ order sweep with schedule ``s`` equals strip-of-osweep-of-completion with the
 lift of ``s``: the lift emits the added arrow first, which is what makes the
 two agree (the tests check it).  :func:`~sweepmap.invert.invert_pipeline`
 inverts an incomplete path along that conjugation, so ``inv_osweep`` covers
-both kinds; the functions here only add the kind check.
+both kinds; the wrappers here only add the kind check every entry shares.
 """
 
 from __future__ import annotations
 
 from .invert import inv_osweep
-from .paths import Path, _require_incomplete, complete, strip  # noqa: F401 (re-exported)
+from .paths import Path, PathKind, _require_kind, complete, strip  # noqa: F401 (re-exported)
 from .schedules import PermSchedule
 from .sweep import osweep, sweep
 
 
 def sweep_incomplete(path: Path) -> Path:
     """The sweep map on an incomplete Dyck path."""
-    _require_incomplete(path, "sweep_incomplete")
+    _require_kind(path, "sweep_incomplete", PathKind.INCOMPLETE)
     return sweep(path)
 
 
 def osweep_incomplete(path: Path, schedule: PermSchedule) -> Path:
     """The order sweep map on an incomplete Dyck path."""
-    _require_incomplete(path, "osweep_incomplete")
+    _require_kind(path, "osweep_incomplete", PathKind.INCOMPLETE)
     return osweep(path, schedule)
 
 
@@ -36,5 +36,5 @@ def inv_osweep_incomplete(
     path: Path, schedule: PermSchedule, *, checks: str = "error"
 ) -> Path:
     """Preimage of ``path`` under :func:`osweep_incomplete` with ``schedule``."""
-    _require_incomplete(path, "inv_osweep_incomplete")
+    _require_kind(path, "inv_osweep_incomplete", PathKind.INCOMPLETE)
     return inv_osweep(path, schedule, checks=checks)

@@ -40,7 +40,9 @@ from .errors import InvariantViolation, PreconditionError, StepLimitExceeded
 from .paths import (
     Path,
     PathDiagram,
+    PathKind,
     _breakpoints,
+    _require_kind,
     complete,
     connected_diagram,
     is_balanced,
@@ -546,15 +548,10 @@ def invert_pipeline(
     the labeling never restarts; that claim is itself checked.
     """
     mode = _validate_mode(checks)
-    if path.is_dyck:
-        dyck = path
-    elif path.is_incomplete:
+    _require_kind(path, "inversion", PathKind.DYCK, PathKind.INCOMPLETE)
+    dyck = path
+    if path.is_incomplete:
         dyck, schedule = complete(path), schedule.lift()
-    else:
-        raise PreconditionError(
-            f"inversion is defined for dyck and incomplete paths; "
-            f"{path.to_text()!r} classifies as {path.classify().value}"
-        )
     minimal = minimal_diagram(dyck)
     balanced, vib_trace = vib(minimal, checks=checks)
     preimage, hpath_trace = hpath(balanced, schedule, checks=checks)

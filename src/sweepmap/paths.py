@@ -49,7 +49,7 @@ def parse_int_list(text: str, label: str = "value") -> tuple[int, ...]:
 
 
 class PathKind(Enum):
-    """Coarse label for an integer step sequence.
+    """Coarse label for an integer step sequence, decided by :meth:`Path.classify`.
 
     DYCK: sums to zero and never dips below its start height.
     INCOMPLETE: sums to a negative value -a and never dips below zero when
@@ -107,19 +107,22 @@ class Path:
 
     @property
     def is_dyck(self) -> bool:
-        return self.total == 0 and min(accumulate(self.steps), default=0) >= 0
+        return self.classify() is PathKind.DYCK
 
     @property
     def is_incomplete(self) -> bool:
-        start = -sum(self.steps)
-        return start > 0 and min(accumulate(self.steps, initial=start)) >= 0
+        return self.classify() is PathKind.INCOMPLETE
+
+    _kind = None  # set by classify(); not a field, and cheaper than a cached_property
 
     def classify(self) -> PathKind:
-        if self.is_dyck:
-            return PathKind.DYCK
-        if self.is_incomplete:
-            return PathKind.INCOMPLETE
-        return PathKind.OTHER
+        """DYCK, INCOMPLETE or OTHER, decided on the first call and kept on the path."""
+        if self._kind is None:
+            # Dyck and incomplete paths never dip below the height they end at.
+            low, end = min(accumulate(self.steps, initial=0)), sum(self.steps)
+            kind = PathKind.OTHER if low != end else PathKind.DYCK if end == 0 else PathKind.INCOMPLETE
+            object.__setattr__(self, "_kind", kind)
+        return self._kind
 
     @classmethod
     def from_text(cls, text: str) -> "Path":
@@ -130,17 +133,17 @@ class Path:
         return ",".join(str(b) for b in self.steps)
 
 
-def _require_incomplete(path: Path, op: str) -> None:
-    if not path.is_incomplete:
-        raise PreconditionError(
-            f"{op} needs an incomplete Dyck path (negative total, no dip "
-            f"below zero from its start height), got {path.to_text()!r}"
-        )
+def _require_kind(path: Path, op: str, *kinds: PathKind) -> None:
+    """Refuse ``path`` for ``op`` unless it classifies as one of ``kinds``."""
+    kind = path.classify()
+    if kind not in kinds:
+        wanted = " or ".join(k.value for k in kinds)
+        raise PreconditionError(f"{op} takes {wanted} paths; {path.to_text()!r} classifies as {kind.value}")
 
 
 def complete(path: Path) -> Path:
     """Prefix the up step that closes the height deficit, yielding a Dyck path."""
-    _require_incomplete(path, "complete")
+    _require_kind(path, "complete", PathKind.INCOMPLETE)
     return Path((path.start_level, *path.steps))
 
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .errors import PreconditionError
-from .paths import Path, PathDiagram
+from .paths import Path, PathDiagram, PathKind, _require_kind
 from .schedules import REVERSE, PermSchedule
 
 
@@ -81,11 +80,7 @@ def hib(path: Path, schedule: PermSchedule) -> PathDiagram:
     exactly ``osweep(path, schedule)``; it is the geometric bridge between the
     forward map and its inversion.
     """
-    if not path.is_dyck:
-        raise PreconditionError(
-            f"hib needs a Dyck path (a negative starting height would break "
-            f"the increasing guarantee), got {path.to_text()!r}"
-        )
+    _require_kind(path, "hib", PathKind.DYCK)
     ranks = path.connected_ranks()
     order = _emission_order(path.steps, schedule)
     return PathDiagram(

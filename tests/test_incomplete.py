@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from sweepmap import (
     StepMultiset,
     complete,
     enumerate_paths,
+    hib,
     inv_osweep,
     inv_osweep_incomplete,
     invert_pipeline,
@@ -25,6 +26,7 @@ from sweepmap import (
     sweep,
     sweep_incomplete,
 )
+import sweepmap.paths
 from helpers import random_schedule
 
 SCHEDULES = (REVERSE, IDENTITY, CYCLE)
@@ -217,3 +219,73 @@ def test_exhaustive_bijectivity_up_to_size_eight():
                 (osweep_incomplete(p, schedule) for p in family), key=lambda q: q.steps
             )
             assert images == family
+
+
+# entry -> (call, operation its refusal names, kinds it takes)
+KIND_ENTRIES = {
+    "complete": (complete, "complete", ("incomplete",)),
+    "sweep_incomplete": (sweep_incomplete, "sweep_incomplete", ("incomplete",)),
+    "osweep_incomplete": (
+        lambda p: osweep_incomplete(p, REVERSE), "osweep_incomplete", ("incomplete",)
+    ),
+    "inv_osweep_incomplete": (
+        lambda p: inv_osweep_incomplete(p, REVERSE), "inv_osweep_incomplete", ("incomplete",)
+    ),
+    "invert_pipeline": (
+        lambda p: invert_pipeline(p, REVERSE), "inversion", ("dyck", "incomplete")
+    ),
+    "inv_osweep": (lambda p: inv_osweep(p, REVERSE), "inversion", ("dyck", "incomplete")),
+    "hib": (lambda p: hib(p, REVERSE), "hib", ("dyck",)),
+    "oracle_invert": (
+        lambda p: oracle_invert(p, REVERSE), "oracle_invert", ("dyck", "incomplete")
+    ),
+}
+PATH_KINDS = {"-1,1": "other", "1,1": "other", "1,-1": "dyck", "1,-1,-1": "incomplete"}
+
+
+class TestKindDecidedOnce:
+    """A path's kind is decided in one scan, and every entry that needs a
+    kind refuses the others with the same message."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        # every kind scan in ``sweepmap.paths`` is an ``accumulate``
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return accumulate(*args, **kwargs)
+
+        monkeypatch.setattr(sweepmap.paths, "accumulate", counting)
+        return calls
+
+    def test_incomplete_inversion(self, scans):
+        # the input's kind once, then the completion in ``vib`` and the
+        # stripped suffix in ``strip``, each a new path
+        assert inv_osweep_incomplete(Path((1, -1, -1)), REVERSE) == Path((-1, 1, -1))
+        assert len(scans) <= 3
+
+    def test_criterion_8_member(self, scans):
+        p = Path((1, -1, -1))
+        assert strip(osweep(complete(p), CYCLE)) == sweep_incomplete(p)
+        osweep_incomplete(p, REVERSE)
+        osweep_incomplete(p, IDENTITY)
+        assert len(scans) <= 2
+
+    @pytest.mark.parametrize(
+        "entry,text",
+        [
+            (entry, text)
+            for entry, (_, _, takes) in KIND_ENTRIES.items()
+            for text, kind in PATH_KINDS.items()
+            if kind not in takes
+        ],
+    )
+    def test_refusal_names_operation_path_and_kind(self, entry, text):
+        call, op, takes = KIND_ENTRIES[entry]
+        with pytest.raises(PreconditionError) as refused:
+            call(Path.from_text(text))
+        message = str(refused.value)
+        assert message.startswith(f"{op} ") and repr(text) in message
+        assert f"classifies as {PATH_KINDS[text]}" in message
+        assert all(kind in message for kind in takes)

@@ -215,6 +215,12 @@ class TestClassify:
         assert p.connected_ranks() == loop_connected_ranks(steps)
         assert p.is_dyck == loop_is_dyck(steps)
         assert p.is_incomplete == loop_is_incomplete(steps)
+        expected = (
+            PathKind.DYCK if loop_is_dyck(steps)
+            else PathKind.INCOMPLETE if loop_is_incomplete(steps)
+            else PathKind.OTHER
+        )
+        assert p.classify() is expected
 
 
 class TestTextForms:
