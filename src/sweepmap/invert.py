@@ -19,10 +19,12 @@ loud ones.
 Cost: balancing keeps the row counts as a step function over breakpoints
 (the heights where arrows start or end) and makes its unit moves in runs,
 raising one column over as many rows as the unit rule would in a row.  A
-run costs O(log n) bisections and heap operations, plus one step per
-breakpoint interval it crosses, independent of the step magnitudes |b|;
-how many runs a path needs depends on its shape.  A labeling round is O(n)
-(one pointer per height).
+run finds its column in O(1) from a block-end map (one past the rightmost
+column starting at each height, updated as the column leaves and arrives);
+its heap operations and breakpoint interval splits are its only O(log n)
+parts, plus one step per breakpoint interval a longer run crosses, all
+independent of the step magnitudes |b|; how many runs a path needs depends
+on its shape.  A labeling round is O(n) (one pointer per height).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .paths import (
     PathDiagram,
     PathKind,
     _breakpoints,
+    _kind_of,
     _require_kind,
     complete,
     connected_diagram,
@@ -278,7 +281,7 @@ def vib(
         problems.append("ranks are not weakly increasing")
     if any(e < 0 for e in diagram.end_ranks):
         problems.append("an arrow ends below height zero")
-    if not Path(diagram.steps).is_dyck:
+    if _kind_of(diagram.steps) is not PathKind.DYCK:
         problems.append("steps do not form a Dyck path")
     if problems:
         raise PreconditionError("vib input rejected: " + "; ".join(problems))
@@ -295,8 +298,15 @@ def vib(
     # positive are dropped lazily when they reach the top.
     positive = [p for p, c in count.items() if c > 0]
     heapify(positive)
+    # block_end[h]: one past the rightmost column starting at height h.  Columns
+    # leave a block from its right end and join one at its left end or as
+    # its only column, so each run updates two entries; an entry left by an
+    # emptied block stays stale until a column arrives there.
+    block_end = {r: c + 1 for c, r in enumerate(ranks)}
     cap = default_step_cap(diagram) if step_cap is None else step_cap
     runs: list[tuple[int, int, int]] = []
+    append = runs.append
+    last = n - 1
     moved = 0
 
     while positive:
@@ -305,12 +315,11 @@ def vib(
         if value <= 0:
             heappop(positive)
             continue
-        # Ranks stay weakly increasing, so the rightmost arrow starting at
-        # ``row`` is the last one not above it.
-        column = bisect_right(ranks, row) - 1
+        column = block_end.get(row, 0) - 1
         if column < 0 or ranks[column] != row:
-            # Provably impossible while a positive row exists; the loop
-            # cannot continue, so this is a hard error in every mode.
+            # Provably impossible while a positive row exists (a stale block
+            # end is never read then); the loop cannot continue, so this is
+            # a hard error in every mode.
             raise InvariantViolation(
                 f"no arrow starts at working row {row}; diagram state is corrupt"
             )
@@ -325,7 +334,7 @@ def vib(
             and (b > 0 or count[row + b] < 0)
         ):
             limit = b if b > 0 else -b
-            if column + 1 < n:
+            if column < last:
                 limit = min(limit, ranks[column + 1] - row)
             length = _run_length(points, count, row, b, limit)
         moved += length
@@ -364,14 +373,14 @@ def vib(
             count[end] = end_value + 1
             if end_value == 0:
                 heappush(positive, end)
-        ranks[column] = row + length
-        _check(
-            column == n - 1 or ranks[column] <= ranks[column + 1],
-            mode,
-            "raising column %d broke the weakly increasing order",
-            column + 1,
-        )
-        runs.append((column + 1, row, row + length))
+        top = row + length
+        ranks[column] = top
+        block_end[row] = column
+        if column == last or ranks[column + 1] != top:
+            block_end[top] = column + 1
+            if column != last and ranks[column + 1] < top and mode != "off":
+                raise InvariantViolation(f"raising column {column + 1} broke the weakly increasing order")
+        append((column + 1, row, top))
 
     _check(
         all(c == 0 for c in count.values()),
@@ -468,7 +477,8 @@ def hpath(
             level = ranks[j] + steps[j]
 
         if not stuck:
-            final = PathDiagram(steps, ranks)
+            # A first round leaves the ranks as they came, so it keeps the input.
+            final = PathDiagram(steps, ranks) if rounds else diagram
             rounds.append(
                 HPathRound(k=k, labels=tuple(labels), stop_reason="completed", diagram_after=final)
             )

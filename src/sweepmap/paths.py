@@ -118,10 +118,7 @@ class Path:
     def classify(self) -> PathKind:
         """DYCK, INCOMPLETE or OTHER, decided on the first call and kept on the path."""
         if self._kind is None:
-            # Dyck and incomplete paths never dip below the height they end at.
-            low, end = min(accumulate(self.steps, initial=0)), sum(self.steps)
-            kind = PathKind.OTHER if low != end else PathKind.DYCK if end == 0 else PathKind.INCOMPLETE
-            object.__setattr__(self, "_kind", kind)
+            object.__setattr__(self, "_kind", _kind_of(self.steps))
         return self._kind
 
     @classmethod
@@ -131,6 +128,13 @@ class Path:
 
     def to_text(self) -> str:
         return ",".join(str(b) for b in self.steps)
+
+
+def _kind_of(steps: tuple[int, ...]) -> PathKind:
+    """DYCK, INCOMPLETE or OTHER for a step sequence, in one scan: Dyck and
+    incomplete paths never dip below the height they end at."""
+    low, end = min(accumulate(steps, initial=0)), sum(steps)
+    return PathKind.OTHER if low != end else PathKind.DYCK if end == 0 else PathKind.INCOMPLETE
 
 
 def _require_kind(path: Path, op: str, *kinds: PathKind) -> None:

@@ -148,6 +148,50 @@ def test_property_large_steps_equal_reference(diagram, schedule):
     assert_hpath_matches(assert_vib_matches(diagram), schedule)
 
 
+def refilled_heights(diagram, runs):
+    """Heights whose block of columns empties and later takes a column again."""
+    ranks = list(diagram.ranks)
+    emptied, refilled = set(), []
+    for column, start, stop in runs:
+        ranks[column - 1] = stop
+        if start not in ranks:
+            emptied.add(start)
+        if stop in emptied:
+            refilled.append(stop)
+    return refilled
+
+
+@pytest.mark.parametrize(
+    "steps,ranks,heights",
+    [
+        # column 3 empties height 1, then column 2 climbs into it
+        ((2, 2, -1, -3), (0, 0, 1, 3), [1]),
+        # column 4 passes through height 2 and leaves it empty; column 3 follows
+        ((3, -1, -1, -1), (0, 1, 1, 1), [2]),
+        # the two-column block at height 1 empties right to left
+        ((2, 2, -1, 1, -3, -1), (0, 0, 1, 1, 3, 3), [1]),
+        # heights 3, 4 and 5 each empty and take a column again
+        ((1, 2, -2, 3, -3, -1), (0, 0, 2, 2, 3, 3), [4, 3, 5]),
+    ],
+)
+def test_block_end_map_survives_an_emptied_block(steps, ranks, heights):
+    # the rightmost column at a height is looked up from a per-height block
+    # end, which an emptied block leaves stale until a column arrives there
+    diagram = PathDiagram(steps, ranks)
+    _, trace = vib(diagram)
+    assert refilled_heights(diagram, trace.runs) == heights
+    assert_vib_matches(diagram)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(positive_diagrams(), positive_diagrams(max_step=60, max_size=10)))
+def test_property_checks_off_balances_the_same(diagram):
+    balanced, trace = vib(diagram, checks="off")
+    checked, checked_trace = vib(diagram, checks="error")
+    assert balanced == checked
+    assert trace.runs == checked_trace.runs and trace.final_ranks == checked_trace.final_ranks
+
+
 @pytest.mark.parametrize("k", (2, 3, 5, 37, 1000))
 def test_tall_shapes(k):
     # long runs on one column: (2K,-K,-K) balances in one run of K moves,

@@ -196,6 +196,16 @@ class TestHPath:
         assert preimage == Path()
         assert len(trace.rounds) == 1
 
+    def test_first_round_keeps_the_input_diagram(self, fig_path):
+        # a completed first round moves no arrow, so it hands back its input
+        for d in (PathDiagram(fig_path.steps, (0, 0, 2, 3, 4, 5)), PathDiagram((1, 1, -1, -1), (0, 0, 1, 1))):
+            for schedule in SCHEDULES:
+                assert hpath(d, schedule)[1].rounds[0].diagram_after is d
+        # a later completed round has moved arrows and builds its own
+        d = PathDiagram((1, 1, -1, -1), (0, 1, 1, 2))
+        last = hpath(d, REVERSE)[1].rounds[-1]
+        assert last.stop_reason == "completed" and last.diagram_after.ranks == (0, 0, 1, 1)
+
     def test_unstable_diagram_restarts_once(self):
         d = PathDiagram((1, 1, -1, -1), (0, 1, 1, 2))
         preimage, trace = hpath(d, REVERSE)
