@@ -16,15 +16,15 @@ selects what happens when such a fact fails: ``"error"`` raises
 valid input the checks can never fire; they exist to turn latent bugs into
 loud ones.
 
-Cost: balancing keeps the row counts as a step function over breakpoints
-(the heights where arrows start or end) and makes its unit moves in runs,
-raising one column over as many rows as the unit rule would in a row.  A
-run finds its column in O(1) from a block-end map (one past the rightmost
-column starting at each height, updated as the column leaves and arrives);
-its heap operations and breakpoint interval splits are its only O(log n)
-parts, plus one step per breakpoint interval a longer run crosses, all
-independent of the step magnitudes |b|; how many runs a path needs depends
-on its shape.  A labeling round is O(n) (one pointer per height).
+Cost: each stage checks its input and builds its starting state in one
+scan of the columns, most of an inversion on a short path.  Balancing keeps
+the row counts as a step function over breakpoints (the heights where arrows
+start or end) and makes its unit moves in runs, raising one column over as
+many rows as the unit rule would in a row.  A run finds its column in O(1)
+from a pointer to the rightmost column at each height; its heap operations
+and interval splits are its only O(log n) parts, plus one step per interval
+a longer run crosses, all independent of the step magnitudes |b|; how many
+runs a path needs depends on its shape.  A labeling round is O(n).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .paths import (
     Path,
     PathDiagram,
     PathKind,
-    _breakpoints,
     _kind_of,
     _require_kind,
     complete,
@@ -257,6 +256,29 @@ def _add_to_rows(
     return values
 
 
+def _scan(steps: tuple[int, ...], ranks: list[int]) -> tuple[bool, int, int, dict[int, int], dict[int, int]]:
+    """One pass for what :func:`vib` and :func:`hpath` check and start from: rank
+    order, lowest arrow end (or 0), up-step total, rightmost column per height,
+    and the row count's jumps (+1 where an arrow starts, -1 where it ends)."""
+    rightmost: dict[int, int] = {}
+    jump: dict[int, int] = {}
+    increasing = True
+    lowest_end = up = 0
+    for column, (b, r) in enumerate(zip(steps, ranks)):
+        if column and ranks[column - 1] > r:
+            increasing = False
+        rightmost[r] = column
+        end = r + b
+        if end < lowest_end:
+            lowest_end = end
+        if b:
+            jump[r] = jump.get(r, 0) + 1
+            jump[end] = jump.get(end, 0) - 1
+            if b > 0:
+                up += b
+    return increasing, lowest_end, up, rightmost, jump
+
+
 def vib(
     diagram: PathDiagram,
     *,
@@ -276,34 +298,31 @@ def vib(
     unit moves.
     """
     mode = _validate_mode(checks)
+    steps = diagram.steps
+    n = len(steps)
+    ranks = list(diagram.ranks)
+    increasing, lowest_end, up, rightmost, jump = _scan(steps, ranks)
     problems = []
-    if not diagram.is_increasing:
+    if not increasing:
         problems.append("ranks are not weakly increasing")
-    if any(e < 0 for e in diagram.end_ranks):
+    if lowest_end < 0:
         problems.append("an arrow ends below height zero")
-    if _kind_of(diagram.steps) is not PathKind.DYCK:
+    if _kind_of(steps) is not PathKind.DYCK:
         problems.append("steps do not form a Dyck path")
     if problems:
         raise PreconditionError("vib input rejected: " + "; ".join(problems))
 
-    steps = diagram.steps
-    n = len(steps)
-    ranks = list(diagram.ranks)
-    points, red, blue = _breakpoints(steps, ranks)
     # The row count as a step function: count[p] holds from breakpoint p up to
     # the next one.  Breakpoints are added, never removed, and the start and
     # end height of every arrow stay among them.
-    count = {p: up - down for p, up, down in zip(points, red, blue)}
+    points = sorted(jump)
+    count = dict(zip(points, accumulate(map(jump.__getitem__, points))))
     # Min-heap holding the start of every positive interval; starts no longer
     # positive are dropped lazily when they reach the top.
     positive = [p for p, c in count.items() if c > 0]
     heapify(positive)
-    # block_end[h]: one past the rightmost column starting at height h.  Columns
-    # leave a block from its right end and join one at its left end or as
-    # its only column, so each run updates two entries; an entry left by an
-    # emptied block stays stale until a column arrives there.
-    block_end = {r: c + 1 for c, r in enumerate(ranks)}
-    cap = default_step_cap(diagram) if step_cap is None else step_cap
+    # default_step_cap(diagram): increasing ranks peak at the last
+    cap = ((ranks[-1] if n else 0) + up) * n if step_cap is None else step_cap
     runs: list[tuple[int, int, int]] = []
     append = runs.append
     last = n - 1
@@ -315,11 +334,11 @@ def vib(
         if value <= 0:
             heappop(positive)
             continue
-        column = block_end.get(row, 0) - 1
+        column = rightmost.get(row, -1)
         if column < 0 or ranks[column] != row:
-            # Provably impossible while a positive row exists (a stale block
-            # end is never read then); the loop cannot continue, so this is
-            # a hard error in every mode.
+            # Provably impossible while a positive row exists (a stale
+            # pointer is never read then); the loop cannot continue, so this
+            # is a hard error in every mode.
             raise InvariantViolation(
                 f"no arrow starts at working row {row}; diagram state is corrupt"
             )
@@ -375,9 +394,12 @@ def vib(
                 heappush(positive, end)
         top = row + length
         ranks[column] = top
-        block_end[row] = column
+        # Columns leave a block from its right end and join one at its left
+        # end or alone; an emptied block's pointer stays stale until a column
+        # arrives there.
+        rightmost[row] = column - 1
         if column == last or ranks[column + 1] != top:
-            block_end[top] = column + 1
+            rightmost[top] = column
             if column != last and ranks[column + 1] < top and mode != "off":
                 raise InvariantViolation(f"raising column {column + 1} broke the weakly increasing order")
         append((column + 1, row, top))
@@ -394,20 +416,6 @@ def vib(
         final_ranks=final.ranks,
     )
     return final, trace
-
-
-def _validate_hpath_input(diagram: PathDiagram) -> None:
-    problems = []
-    if not diagram.is_increasing:
-        problems.append("ranks are not weakly increasing")
-    if any(r < 0 for r in diagram.ranks):
-        problems.append("a rank is negative")
-    if any(e < 0 for e in diagram.end_ranks):
-        problems.append("an arrow ends below height zero")
-    if not is_balanced(diagram):
-        problems.append("the diagram is not balanced")
-    if problems:
-        raise PreconditionError("hpath input rejected: " + "; ".join(problems))
 
 
 def hpath(
@@ -431,20 +439,29 @@ def hpath(
     The order sweep of the result equals the diagram's step sequence.
     """
     mode = _validate_mode(checks)
-    _validate_hpath_input(diagram)
     steps = diagram.steps
     n = len(steps)
     ranks = list(diagram.ranks)
+    # The columns of one height form a contiguous block, labeled from its
+    # right end, so one pointer per height tracks its rightmost unlabeled.
+    increasing, lowest_end, _, rightmost, jump = _scan(steps, ranks)
+    problems = []
+    if not increasing:
+        problems.append("ranks are not weakly increasing")
+    if n and (ranks[0] if increasing else min(ranks)) < 0:
+        problems.append("a rank is negative")
+    if lowest_end < 0:
+        problems.append("an arrow ends below height zero")
+    if any(jump.values()):
+        problems.append("the diagram is not balanced")
+    if problems:
+        raise PreconditionError("hpath input rejected: " + "; ".join(problems))
     rounds: list[HPathRound] = []
     round_budget = sum(ranks) + 1  # every restart lowers the total rank
 
     while True:
-        zero_columns = [i for i in range(n) if ranks[i] == 0]
-        k = len(zero_columns)
+        k = bisect_right(ranks, 0)  # the ranks increase from 0: columns 0..k-1 are at 0
         inverse = schedule.inverse_perm(k)
-        # The columns of one height form a contiguous block, labeled from its
-        # right end, so one pointer per height tracks its rightmost unlabeled.
-        rightmost = {r: c for c, r in enumerate(ranks)}
         labeled = [False] * n
         label_order: list[int] = []
         labels: list[HPathLabel] = []
@@ -458,7 +475,7 @@ def hpath(
                 if zero_visits > k:
                     stuck = True
                     break
-                j = zero_columns[inverse[zero_visits - 1] - 1]
+                j = inverse[zero_visits - 1] - 1
                 if labeled[j]:
                     # A fresh visit index through a bijection cannot repeat a
                     # column; a hit here means corrupted input or schedule.
@@ -488,7 +505,7 @@ def hpath(
         # Stuck state: everything the structure theory promises, re-checked.
         _check(level == 0, mode, "labeling walk stranded at height %d, not zero", level)
         _check(
-            all(labeled[c] for c in zero_columns),
+            all(labeled[:k]),
             mode,
             "stuck with an unlabeled height-zero arrow",
         )
@@ -508,6 +525,7 @@ def hpath(
         for c in range(n):
             if not labeled[c]:
                 ranks[c] -= 1
+        rightmost = {r: c for c, r in enumerate(ranks)}
         shifted = PathDiagram(steps, ranks)
         _check(shifted.is_increasing, mode, "downshift broke the increasing order")
         _check(is_balanced(shifted), mode, "downshift broke balance")

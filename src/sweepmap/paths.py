@@ -324,8 +324,8 @@ def minimal_diagram(path: Path) -> PathDiagram:
     """
     ranks = []
     prev = 0
-    for i, b in enumerate(path.steps):
-        prev = max(0, -b) if i == 0 else max(prev, -b)
+    for b in path.steps:
+        prev = -b if -b > prev else prev
         ranks.append(prev)
     return PathDiagram(path.steps, ranks)
 

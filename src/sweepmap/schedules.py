@@ -50,14 +50,15 @@ def _validate_permutation(perm: Sequence[int], k: int, origin: str) -> tuple[int
 class PermSchedule:
     """A named total rule ``k -> one-line permutation of {1..k}``.
 
-    Each size is validated on its first query and its permutation kept on the
-    instance; a failed validation keeps nothing, so it raises on every query.
+    Each size is validated on its first query and its permutation and inverse
+    kept on the instance; a failed validation keeps nothing, so it raises on every query.
     The rule must be pure: concurrent first queries may both run it.
     """
 
     name: str
     rule: Callable[[int], Sequence[int]] = field(repr=False)
     _perms: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
+    _inverses: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
     _lifted: "PermSchedule | None" = field(default=None, init=False, repr=False)
 
     def perm(self, k: int) -> tuple[int, ...]:
@@ -71,11 +72,12 @@ class PermSchedule:
         return perm
 
     def inverse_perm(self, k: int) -> tuple[int, ...]:
-        perm = self.perm(k)
-        inverse = [0] * k
-        for position, value in enumerate(perm, start=1):
-            inverse[value - 1] = position
-        return tuple(inverse)
+        """The inverse of :meth:`perm` for size ``k``, kept per size the same way."""
+        inverse = self._inverses.get(k)
+        if inverse is None:
+            perm = self.perm(k)
+            inverse = self._inverses[k] = tuple(sorted(range(1, k + 1), key=lambda p: perm[p - 1]))
+        return inverse
 
     def lift(self) -> "PermSchedule":
         """Shift the whole schedule one slot right, fixing position 1.

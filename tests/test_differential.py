@@ -19,6 +19,7 @@ from sweepmap import (
     REVERSE,
     Path,
     PathDiagram,
+    PreconditionError,
     VibMove,
     hib,
     hpath,
@@ -175,8 +176,8 @@ def refilled_heights(diagram, runs):
     ],
 )
 def test_block_end_map_survives_an_emptied_block(steps, ranks, heights):
-    # the rightmost column at a height is looked up from a per-height block
-    # end, which an emptied block leaves stale until a column arrives there
+    # the rightmost column at a height is looked up from a per-height
+    # pointer, which an emptied block leaves stale until a column arrives there
     diagram = PathDiagram(steps, ranks)
     _, trace = vib(diagram)
     assert refilled_heights(diagram, trace.runs) == heights
@@ -190,6 +191,58 @@ def test_property_checks_off_balances_the_same(diagram):
     checked, checked_trace = vib(diagram, checks="error")
     assert balanced == checked
     assert trace.runs == checked_trace.runs and trace.final_ranks == checked_trace.final_ranks
+
+
+@st.composite
+def damaged_diagrams(draw):
+    """A valid balancing or labeling input with up to three steps or ranks
+    redrawn, so that some break the rank order, go negative, leave the Dyck
+    paths or unbalance the diagram, alone or together."""
+    diagram = draw(positive_diagrams(max_size=8))
+    if draw(st.booleans()):
+        diagram = vib(diagram)[0]
+    steps, ranks = list(diagram.steps), list(diagram.ranks)
+    for _ in range(draw(st.integers(0, 3)) if steps else 0):
+        i = draw(st.integers(0, len(steps) - 1))
+        if draw(st.booleans()):
+            steps[i] = draw(st.integers(-4, 4))
+        else:
+            ranks[i] = draw(st.integers(-3, 9))
+    return PathDiagram(steps, ranks)
+
+
+def refusal(stage, diagram):
+    """The message ``stage`` must refuse ``diagram`` with, from the diagram's
+    own predicates, or None if it must accept it."""
+    problems = {
+        "ranks are not weakly increasing": not diagram.is_increasing,
+        "a rank is negative": stage == "hpath" and any(r < 0 for r in diagram.ranks),
+        "an arrow ends below height zero": any(e < 0 for e in diagram.end_ranks),
+        "steps do not form a Dyck path": stage == "vib" and not Path(diagram.steps).is_dyck,
+        "the diagram is not balanced": stage == "hpath" and not is_balanced(diagram),
+    }
+    named = [problem for problem, found in problems.items() if found]
+    return f"{stage} input rejected: " + "; ".join(named) if named else None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        damaged_diagrams(),
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 9)), max_size=8).map(
+            lambda arrows: PathDiagram([b for b, _ in arrows], [r for _, r in arrows])
+        ),
+    )
+)
+def test_property_input_checks_match_the_predicates(diagram):
+    for stage, run in (("vib", lambda: vib(diagram)), ("hpath", lambda: hpath(diagram, REVERSE))):
+        expected = refusal(stage, diagram)
+        if expected is None:
+            run()
+        else:
+            with pytest.raises(PreconditionError) as refused:
+                run()
+            assert str(refused.value) == expected
 
 
 @pytest.mark.parametrize("k", (2, 3, 5, 37, 1000))

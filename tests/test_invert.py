@@ -100,6 +100,21 @@ class TestVib:
         with pytest.raises(PreconditionError, match="Dyck"):
             vib(PathDiagram((-1, 1), (1, 1)))
 
+    def test_names_every_problem_in_order(self):
+        with pytest.raises(PreconditionError) as refused:
+            vib(PathDiagram((-2, 1), (1, 0)))
+        assert str(refused.value) == (
+            "vib input rejected: ranks are not weakly increasing; "
+            "an arrow ends below height zero; steps do not form a Dyck path"
+        )
+
+    def test_input_checks_leave_end_ranks_unread(self, fig_path):
+        d = PathDiagram(fig_path.steps, (0, 0, 0, 3, 3, 3))
+        balanced, _ = vib(d)
+        hpath(balanced, REVERSE)
+        assert "end_ranks" not in d.__dict__
+        assert "end_ranks" not in balanced.__dict__
+
     def test_move_count_equals_rank_distance(self):
         rng = random.Random(100)
         for _ in range(150):
@@ -222,6 +237,14 @@ class TestHPath:
             hpath(PathDiagram((-1, 1), (1, 0)), REVERSE)
         with pytest.raises(PreconditionError, match="negative"):
             hpath(PathDiagram((1, -1), (-1, 0)), REVERSE)
+
+    def test_names_every_problem_in_order(self):
+        with pytest.raises(PreconditionError) as refused:
+            hpath(PathDiagram((-2, 1), (1, -1)), REVERSE)
+        assert str(refused.value) == (
+            "hpath input rejected: ranks are not weakly increasing; a rank is negative; "
+            "an arrow ends below height zero; the diagram is not balanced"
+        )
 
     def test_guarantee_on_random_stable_and_unstable_diagrams(self):
         rng = random.Random(321)

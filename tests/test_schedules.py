@@ -37,11 +37,13 @@ class TestBuiltins:
             builtin("bogus")
 
     def test_inverse_composes_to_identity(self):
-        for schedule in (REVERSE, IDENTITY, CYCLE, random_schedule(5)):
+        for schedule in (REVERSE, IDENTITY, CYCLE, random_schedule(5), REVERSE.lift(), random_schedule(6).lift()):
             for k in range(9):
                 perm = schedule.perm(k)
                 inverse = schedule.inverse_perm(k)
                 assert tuple(perm[inverse[j] - 1] for j in range(k)) == tuple(range(1, k + 1))
+                assert tuple(inverse[perm[j] - 1] for j in range(k)) == tuple(range(1, k + 1))
+                assert schedule.inverse_perm(k) is inverse
 
 
 class TestLift:
@@ -102,13 +104,18 @@ class TestValidatedOnce:
         for _ in range(3):
             with pytest.raises(ScheduleError):
                 broken.perm(2)
-        assert calls == [2, 2, 2]
+            with pytest.raises(ScheduleError):
+                broken.inverse_perm(2)
+        assert calls == [2] * 6
         assert broken.perm(1) == (1,)
+        assert broken.inverse_perm(1) == (1,)
 
     def test_negative_size_raises_on_every_call(self):
         for _ in range(2):
             with pytest.raises(ScheduleError):
                 REVERSE.perm(-1)
+            with pytest.raises(ScheduleError):
+                REVERSE.inverse_perm(-1)
 
 
 class TestTables:
