@@ -3,7 +3,8 @@
 One binary with subcommands; ``--json`` switches any of them to a stable
 machine-readable schema (documented in ``docs/formats.md``).  Exit codes:
 0 success, 1 verification failure or violated runtime invariant, 2 malformed
-input or usage error.
+input or usage error.  A reader that closes stdout early (``| head``) ends the
+``sweepmap`` script by ``SIGPIPE``, where the platform has it, without a traceback.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import sys
 from itertools import chain, islice
+from typing import Iterable
 
 from . import families, render, schedules
 from .errors import (
@@ -33,6 +36,9 @@ from .sweep import osweep, sweep
 # 260 MB of memory on a 2-core Xeon.
 MAX_TRACE_RECORDS = 200_000  # unit moves and labels listed
 MAX_FIGURE_SIZE = 1_000_000  # ASCII cells (columns x rows) or SVG lines
+
+# a handler's exit code, JSON value (a record, an array or None) and text lines
+_Output = tuple[int, object, Iterable[str]]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,26 +132,29 @@ def _interpret(args) -> Path:
     return path
 
 
-def _emit_path(path: Path, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(list(path.steps)))
-    else:
-        print(path.to_text())
+def _path_output(path: Path) -> _Output:
+    return 0, list(path.steps), (path.to_text(),)
 
 
-def _cmd_sweep(args) -> int:
-    path = _interpret(args)
-    _emit_path(sweep(path), args.json)
-    return 0
+def _size_output(spec: families.EnumerationSpec, text_format: str) -> _Output:
+    record = {"family": spec.multiset.to_text(), "kind": spec.kind.value, "size": families.family_size(spec)}
+    return 0, record, (text_format.format(**record),)
 
 
-def _cmd_osweep(args) -> int:
-    path = _interpret(args)
-    _emit_path(osweep(path, schedules.from_text(args.schedule)), args.json)
-    return 0
+def _family_spec(args) -> families.EnumerationSpec:
+    multiset = StepMultiset.from_text(args.multiset)
+    return families.EnumerationSpec(multiset, PathKind(args.kind), cap=args.cap)
 
 
-def _cmd_invert(args) -> int:
+def _cmd_sweep(args) -> _Output:
+    return _path_output(sweep(_interpret(args)))
+
+
+def _cmd_osweep(args) -> _Output:
+    return _path_output(osweep(_interpret(args), schedules.from_text(args.schedule)))
+
+
+def _cmd_invert(args) -> _Output:
     path = _interpret(args)
     schedule = schedules.from_text(args.schedule)
     preimage = invert_pipeline(path, schedule).preimage
@@ -157,50 +166,41 @@ def _cmd_invert(args) -> int:
                 f"table {expected.to_text()}",
                 file=sys.stderr,
             )
-            return 1
-    _emit_path(preimage, args.json)
-    return 0
+            return 1, None, ()
+    return _path_output(preimage)
 
 
-def _cmd_enumerate(args) -> int:
-    multiset = StepMultiset.from_text(args.multiset)
-    spec = families.EnumerationSpec(multiset, PathKind(args.kind), cap=args.cap)
+def _cmd_enumerate(args) -> _Output:
+    spec = _family_spec(args)
     if args.count_only:
-        size = families.family_size(spec)
-        if args.json:
-            print(json.dumps({"family": multiset.to_text(), "kind": args.kind, "size": size}))
-        else:
-            print(size)
-        return 0
-    members = list(families.enumerate_paths(spec))
-    if args.json:
-        print(json.dumps([list(p.steps) for p in members]))
-    else:
-        for p in members:
-            print(p.to_text())
-    return 0
+        return _size_output(spec, "{size}")
+    members = list(families.enumerate_paths(spec))  # a cap is refused before any output
+    return 0, (list(p.steps) for p in members), (p.to_text() for p in members)
 
 
-def _cmd_verify(args) -> int:
-    multiset = StepMultiset.from_text(args.multiset)
-    spec = families.EnumerationSpec(multiset, PathKind(args.kind), cap=args.cap)
+def _cmd_verify(args) -> _Output:
+    spec = _family_spec(args)
     if args.dry_run:
-        size = families.family_size(spec)
-        if args.json:
-            print(json.dumps({"family": multiset.to_text(), "kind": args.kind, "size": size}))
-        else:
-            print(f"family {multiset.to_text()} ({args.kind}): {size} paths")
-        return 0
-    schedule = schedules.from_text(args.schedule)
-    report = families.verify_bijection(spec, schedule)
-    if args.json:
-        print(json.dumps(report.as_record()))
-    else:
-        print(report.to_text())
-    return 0 if report.passed else 1
+        return _size_output(spec, "family {family} ({kind}): {size} paths")
+    report = families.verify_bijection(spec, schedules.from_text(args.schedule))
+    return (0 if report.passed else 1), report.as_record(), (report.to_text(),)
 
 
-def _cmd_trace(args) -> int:
+def _trace_lines(algorithm: str, result, moves, rounds) -> Iterable[str]:
+    if algorithm != "hpath":
+        for move in moves:
+            yield f"move {move.step}: row {move.row}, column {move.column}, rank {move.before} -> {move.after}"
+        yield f"{len(moves)} moves; final ranks {','.join(map(str, result.vib_trace.final_ranks))}"
+    if algorithm != "vib":
+        for rnd in rounds:
+            for label in rnd.labels:
+                yield f"round {label.round}: label {label.i} -> column {label.column} (level {label.level})"
+            if rnd.stop_reason == "completed":
+                yield f"round {rnd.labels[-1].round if rnd.labels else 1}: completed"
+        yield f"preimage {result.preimage.to_text()}"
+
+
+def _cmd_trace(args) -> _Output:
     path = Path.from_text(args.path)
     result = invert_pipeline(path, schedules.from_text(args.schedule))
     moves = result.vib_trace.moves if args.algorithm != "hpath" else ()
@@ -210,40 +210,14 @@ def _cmd_trace(args) -> int:
         raise PreconditionError(
             f"the {args.algorithm} trace has {size} records; the limit is {MAX_TRACE_RECORDS}"
         )
-    # Written as produced, so memory stays flat whatever the trace's length.
-    write = sys.stdout.write
-    if args.json:
-        # the bytes of one json.dumps of the whole list, encoded in batches
-        records = chain(
-            (move.as_record() for move in moves),
-            (label.as_record() for rnd in rounds for label in rnd.labels),
-        )
-        write("[")
-        for i, batch in enumerate(iter(lambda: list(islice(records, 1024)), [])):
-            write((", " if i else "") + json.dumps(batch)[1:-1])
-        write("]\n")
-        return 0
-    if args.algorithm != "hpath":
-        for move in moves:
-            write(
-                f"move {move.step}: row {move.row}, column {move.column}, "
-                f"rank {move.before} -> {move.after}\n"
-            )
-        write(f"{len(moves)} moves; final ranks {','.join(map(str, result.vib_trace.final_ranks))}\n")
-    if args.algorithm != "vib":
-        for rnd in rounds:
-            for label in rnd.labels:
-                write(
-                    f"round {label.round}: label {label.i} -> column {label.column} "
-                    f"(level {label.level})\n"
-                )
-            if rnd.stop_reason == "completed":
-                write(f"round {rnd.labels[-1].round if rnd.labels else 1}: completed\n")
-        write(f"preimage {result.preimage.to_text()}\n")
-    return 0
+    records = chain(
+        (move.as_record() for move in moves),
+        (label.as_record() for rnd in rounds for label in rnd.labels),
+    )
+    return 0, records, _trace_lines(args.algorithm, result, moves, rounds)
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> _Output:
     path = Path.from_text(args.path)
     if args.ranks is not None:
         ranks = parse_int_list(args.ranks, label="rank")
@@ -251,8 +225,8 @@ def _cmd_render(args) -> int:
     else:
         diagram = connected_diagram(path)
     out = args.out
-    heights = (0, *diagram.ranks, *diagram.end_ranks)
-    rows, columns = max(heights) - min(heights) + 1, len(diagram)
+    low, high = render._extent(diagram)
+    rows, columns = high - low + 1, len(diagram)
     if out.endswith(".svg"):
         fmt, size, unit = "svg", 3 * rows + 2 * columns, "lines"
     elif out.endswith(".txt"):
@@ -264,12 +238,31 @@ def _cmd_render(args) -> int:
             f"a {columns}-column, {rows}-row {fmt} figure is {size} {unit}; "
             f"the limit is {MAX_FIGURE_SIZE}"
         )
-    document = render.render_svg(diagram) if fmt == "svg" else render.render_ascii(diagram)
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(document)
-    if args.json:
-        print(json.dumps({"out": out, "format": fmt, "bytes": len(document.encode("utf-8"))}))
-    return 0
+    try:  # opened before drawing, so an unwritable --out costs no rendering
+        with open(out, "w", encoding="utf-8") as handle:
+            document = render.render_svg(diagram) if fmt == "svg" else render.render_ascii(diagram)
+            handle.write(document)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {out!r}: {exc.strerror}") from None
+    return 0, {"out": out, "format": fmt, "bytes": len(document.encode("utf-8"))}, ()
+
+
+def _emit(args, value: object, lines: Iterable[str]) -> None:
+    """The one writer of stdout: a handler's text lines, or with ``--json`` its
+    value, a record as one document or an array in batches."""
+    write = sys.stdout.write  # looked up per call: callers may redirect stdout
+    if not args.json:
+        for line in lines:  # written as produced, so a long trace keeps memory flat
+            write(line + "\n")
+    elif isinstance(value, dict):
+        write(json.dumps(value) + "\n")
+    elif value is not None:
+        # the bytes of one json.dumps of the whole array, encoded in batches
+        items = iter(value)
+        write("[")
+        for i, batch in enumerate(iter(lambda: list(islice(items, 1024)), [])):
+            write((", " if i else "") + json.dumps(batch)[1:-1])
+        write("]\n")
 
 
 _HANDLERS = {
@@ -314,7 +307,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        code, value, lines = _HANDLERS[args.command](args)
+        _emit(args, value, lines)
+        return code
     except (ParseError, ScheduleError, PreconditionError, FamilyCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -324,6 +319,8 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):  # not in run(), which callers may give a StringIO stdout
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

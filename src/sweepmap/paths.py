@@ -245,8 +245,8 @@ class RowCounts:
     """Per-row segment tallies; rows never touched count as zero.
 
     Built by :func:`row_counts`.  The tallies are kept per breakpoint
-    interval, so a lookup is a bisection and nothing but :meth:`rows` and
-    :meth:`counts` visits individual rows.
+    interval, so a lookup is a bisection and nothing but :meth:`rows` visits
+    individual rows.
     """
 
     __slots__ = ("_points", "_red", "_blue")
@@ -278,10 +278,6 @@ class RowCounts:
             if red or blue
             for j in range(lo, hi)
         ]
-
-    def counts(self) -> dict[int, int]:
-        """Counts over the segment-bearing rows (other rows are zero)."""
-        return {j: self.count(j) for j in self.rows()}
 
     @property
     def total(self) -> int:

@@ -14,30 +14,6 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, ScheduleError
 
-BUILTIN_NAMES = ("reverse", "identity", "cycle")
-
-
-def _reverse_rule(k: int) -> tuple[int, ...]:
-    return tuple(range(k, 0, -1))
-
-
-def _identity_rule(k: int) -> tuple[int, ...]:
-    return tuple(range(1, k + 1))
-
-
-def _cycle_rule(k: int) -> tuple[int, ...]:
-    # one-line (1, k, k-1, ..., 2): fixes 1, rotates the rest
-    if k == 0:
-        return ()
-    return (1,) + tuple(range(k, 1, -1))
-
-
-_BUILTIN_RULES: dict[str, Callable[[int], tuple[int, ...]]] = {
-    "reverse": _reverse_rule,
-    "identity": _identity_rule,
-    "cycle": _cycle_rule,
-}
-
 
 def _validate_permutation(perm: Sequence[int], k: int, origin: str) -> tuple[int, ...]:
     perm = tuple(perm)
@@ -100,14 +76,18 @@ class PermSchedule:
         return f"PermSchedule({self.name!r})"
 
 
-REVERSE = PermSchedule("reverse", _reverse_rule)
-IDENTITY = PermSchedule("identity", _identity_rule)
-CYCLE = PermSchedule("cycle", _cycle_rule)
+REVERSE = PermSchedule("reverse", lambda k: tuple(range(k, 0, -1)))
+IDENTITY = PermSchedule("identity", lambda k: tuple(range(1, k + 1)))
+# one-line (1, k, k-1, ..., 2): fixes 1, rotates the rest
+CYCLE = PermSchedule("cycle", lambda k: (1,)[:k] + tuple(range(k, 1, -1)))
+_BUILTINS = {schedule.name: schedule for schedule in (REVERSE, IDENTITY, CYCLE)}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str) -> PermSchedule:
+    """The shared builtin schedule of that name."""
     try:
-        return PermSchedule(name, _BUILTIN_RULES[name])
+        return _BUILTINS[name]
     except KeyError:
         raise ScheduleError(
             f"unknown builtin schedule {name!r}; expected one of {', '.join(BUILTIN_NAMES)}"

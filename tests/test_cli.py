@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -147,18 +151,11 @@ class TestEnumerateVerify:
             == 0
         )
         out, _ = out_of(capsys)
-        record = json.loads(out)
-        assert record == {
-            "family": "1,-1^2",
-            "kind": "incomplete",
-            "size": 2,
-            "schedule": "cycle",
-            "injective": True,
-            "closed": True,
-            "roundtrip": True,
-            "pass": True,
-            "counterexample": None,
-        }
+        assert out == (
+            '{"family": "1,-1^2", "kind": "incomplete", "size": 2, "schedule": "cycle", '
+            '"injective": true, "closed": true, "roundtrip": true, "pass": true, '
+            '"counterexample": null}\n'
+        )
 
     def test_verify_dry_run(self, capsys):
         assert run(["verify", "--type", "1^4,-1^4", "--kind", "dyck", "--dry-run", "--json"]) == 0
@@ -188,6 +185,40 @@ class TestEnumerateVerify:
         assert run(["verify", "--type", "1,-1", "--kind", "dyck", "--schedule", "reverse"]) == 1
         out, _ = out_of(capsys)
         assert out.strip().endswith("FAIL")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["sweep", "--path", ""], "\n"),
+        (["sweep", "--path", "", "--json"], "[]\n"),
+        # the empty family has one member, the empty path, printed as an empty line
+        (["enumerate", "--type", "", "--kind", "dyck"], "\n"),
+        (["enumerate", "--type", "", "--kind", "dyck", "--json"], "[[]]\n"),
+        (
+            ["enumerate", "--type", "1^3,-1^3", "--kind", "dyck", "--count-only", "--json"],
+            '{"family": "1^3,-1^3", "kind": "dyck", "size": 5}\n',
+        ),
+        (["verify", "--type", "1^4,-1^4", "--kind", "dyck", "--dry-run"], "family 1^4,-1^4 (dyck): 14 paths\n"),
+    ],
+)
+def test_stdout_golden(argv, expected, capsys):
+    assert run(argv) == 0
+    assert out_of(capsys) == (expected, "")
+
+
+def test_closed_stdout_ends_the_script_quietly(tmp_path):
+    # a reader that stops after one line, like ``| head -1``
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = [sys.executable, "-m", "sweepmap.cli", "enumerate", "--type", "1^9,-1^9", "--kind", "dyck"]
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=err)
+        assert proc.stdout.readline() == b"1,-1,1,-1,1,-1,1,-1,1,-1,1,-1,1,-1,1,-1,1,-1\n"
+        proc.stdout.close()  # 4862 lines: far more than the pipe holds
+        proc.wait(timeout=60)
+    assert "Traceback" not in (tmp_path / "stderr").read_text(encoding="utf-8")
+    if hasattr(signal, "SIGPIPE"):
+        assert proc.returncode == -signal.SIGPIPE
 
 
 class TestTrace:
@@ -310,6 +341,15 @@ class TestRender:
         out_file = tmp_path / "pair.txt"
         assert run(["render", "--path", "1,-1", "--out", str(out_file)]) == 0
         assert out_file.read_text(encoding="utf-8") == "0 | RB | 0\n"
+        assert out_of(capsys) == ("", "")
+        assert run(["render", "--path", "1,-1", "--out", str(out_file), "--json"]) == 0
+        assert out_of(capsys)[0] == f'{{"out": {json.dumps(str(out_file))}, "format": "ascii", "bytes": 11}}\n'
+
+    def test_unwritable_out_is_refused_before_rendering(self, tmp_path, capsys, monkeypatch):
+        out_file = str(tmp_path / "missing" / "pair.svg")
+        monkeypatch.setattr(cli.render, "render_svg", None)  # drawing would raise TypeError
+        assert run(["render", "--path", "1,-1", "--out", out_file, "--json"]) == 2
+        assert out_of(capsys) == ("", f"error: cannot write {out_file!r}: No such file or directory\n")
 
     def test_svg_file_with_ranks(self, tmp_path, capsys):
         out_file = tmp_path / "nine.svg"

@@ -33,6 +33,9 @@ class TestBuiltins:
 
     def test_builtin_lookup(self):
         assert builtin("reverse").perm(3) == (3, 2, 1)
+        # one shared schedule, and so one permutation cache, per builtin name
+        assert [builtin(name) for name in schedules.BUILTIN_NAMES] == [REVERSE, IDENTITY, CYCLE]
+        assert schedules.from_text("cycle") is CYCLE
         with pytest.raises(ScheduleError):
             builtin("bogus")
 
