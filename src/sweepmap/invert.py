@@ -21,10 +21,14 @@ scan of the columns, most of an inversion on a short path.  Balancing keeps
 the row counts as a step function over breakpoints (the heights where arrows
 start or end) and makes its unit moves in runs, raising one column over as
 many rows as the unit rule would in a row.  A run finds its column in O(1)
-from a pointer to the rightmost column at each height; its heap operations
-and interval splits are its only O(log n) parts, plus one step per interval
-a longer run crosses, all independent of the step magnitudes |b|; how many
-runs a path needs depends on its shape.  A labeling round is O(n).
+from a pointer to the rightmost column at each height, and its working row
+is handed on from the move before: the heap of positive rows is read only
+after a multi-row run or once both rows a move changed are spent.  Its heap
+operations and interval splits are its only O(log n) parts, plus one step
+per interval a longer run crosses, all independent of the step magnitudes
+|b|; how many runs a path needs depends on its shape.  Each run is logged as
+one int (two for a multi-row run), and the trace replays the log into runs
+and unit moves only when they are read.  A labeling round is O(n).
 """
 
 from __future__ import annotations
@@ -86,36 +90,41 @@ class VibMoves(Sequence):
 
     Reads as the tuple of :class:`VibMove` records it stands for: ``len`` is
     the number of unit moves, indexing and iteration build the records, and
-    it compares equal to that tuple.  Only the records asked for are built.
+    it compares equal to that tuple.  Only the records asked for are built,
+    and the trace's runs only once a record is.
     """
 
-    __slots__ = ("_runs", "_ends")
+    __slots__ = ("_trace", "_size", "_ends")
 
-    def __init__(self, runs: Sequence[tuple[int, int, int]]) -> None:
-        self._runs = runs
-        # _ends[k]: moves made by runs 0..k, so run k holds steps _ends[k-1]+1.._ends[k]
-        self._ends = list(accumulate(stop - start for _, start, stop in runs))
+    def __init__(self, trace: VibTrace) -> None:
+        self._trace = trace
+        # every unit move raises one rank by one
+        self._size = sum(trace.final_ranks) - sum(trace.initial_ranks)
+        self._ends: list[int] | None = None
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return self._size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        size = len(self)
+            return tuple(self[i] for i in range(*index.indices(self._size)))
         index = operator.index(index)
         if index < 0:
-            index += size
-        if not 0 <= index < size:
+            index += self._size
+        if not 0 <= index < self._size:
             raise IndexError("move index out of range")
+        runs = self._trace.runs
+        if self._ends is None:
+            # _ends[k]: moves made by runs 0..k, so run k holds steps _ends[k-1]+1.._ends[k]
+            self._ends = list(accumulate(stop - start for _, start, stop in runs))
         k = bisect_right(self._ends, index)
-        column, start, _ = self._runs[k]
+        column, start, _ = runs[k]
         row = start + index - (self._ends[k - 1] if k else 0)
         return VibMove(index + 1, row, column, row, row + 1)
 
     def __iter__(self):
         step = 0
-        for column, start, stop in self._runs:
+        for column, start, stop in self._trace.runs:
             for row in range(start, stop):
                 step += 1
                 yield VibMove(step, row, column, row, row + 1)
@@ -126,22 +135,43 @@ class VibMoves(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
-        return f"<{len(self)} balancing moves in {len(self._runs)} runs>"
+        return f"<{len(self)} balancing moves in {len(self._trace.runs)} runs>"
 
 
 @dataclass(frozen=True)
 class VibTrace:
-    """Balancing log: one ``(column, from, to)`` per run of unit moves that
-    raised the 1-based ``column`` from rank ``from`` to rank ``to``."""
+    """Balancing log over ``initial_ranks``: a unit move logs its 0-based
+    column ``c``, a run of several unit moves on one column logs ``~c`` and
+    then the rank it raised ``c`` to.  :attr:`runs` and :attr:`moves` replay
+    the log, and only when read."""
 
-    runs: tuple[tuple[int, int, int], ...]
+    log: tuple[int, ...]
     initial_ranks: tuple[int, ...]
     final_ranks: tuple[int, ...]
 
     @cached_property
+    def runs(self) -> tuple[tuple[int, int, int], ...]:
+        """One ``(column, from, to)`` per run of unit moves that raised the
+        1-based ``column`` from rank ``from`` to rank ``to``."""
+        ranks = list(self.initial_ranks)
+        runs = []
+        entries = iter(self.log)
+        for column in entries:
+            if column < 0:
+                column = ~column
+                top = next(entries)
+            else:
+                top = ranks[column] + 1
+            runs.append((column + 1, ranks[column], top))
+            ranks[column] = top
+        return tuple(runs)
+
+    @property
     def moves(self) -> VibMoves:
-        """The unit moves, one :class:`VibMove` per raise, in order."""
-        return VibMoves(self.runs)
+        """The unit moves, one :class:`VibMove` per raise, in order; a fresh
+        view on each read, as a cached one would form a reference cycle that
+        keeps a dropped trace alive until the cycle collector runs."""
+        return VibMoves(self)
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -200,8 +230,11 @@ def default_step_cap(diagram: PathDiagram) -> int:
     most that rank plus the sum of the up steps, so the cap never binds on
     valid input; it only converts an implementation bug into a clean error.
     """
-    top = max(diagram.ranks, default=0) + sum(b for b in diagram.steps if b > 0)
-    return len(diagram) * top
+    return _step_cap(len(diagram), max(diagram.ranks, default=0), sum(b for b in diagram.steps if b > 0))
+
+
+def _step_cap(n: int, top_rank: int, up: int) -> int:
+    return n * (top_rank + up)
 
 
 def _run_length(points: list[int], count: dict[int, int], row: int, b: int, limit: int) -> int:
@@ -317,23 +350,28 @@ def vib(
     # end height of every arrow stay among them.
     points = sorted(jump)
     count = dict(zip(points, accumulate(map(jump.__getitem__, points))))
-    # Min-heap holding the start of every positive interval; starts no longer
-    # positive are dropped lazily when they reach the top.
+    # Min-heap holding the start of every positive interval but the working
+    # row; starts no longer positive are dropped lazily when they reach the top.
     positive = [p for p, c in count.items() if c > 0]
     heapify(positive)
-    # default_step_cap(diagram): increasing ranks peak at the last
-    cap = ((ranks[-1] if n else 0) + up) * n if step_cap is None else step_cap
-    runs: list[tuple[int, int, int]] = []
-    append = runs.append
+    # increasing ranks peak at the last
+    cap = _step_cap(n, ranks[-1] if n else 0, up) if step_cap is None else step_cap
+    log: list[int] = []
+    append = log.append
     last = n - 1
     moved = 0
+    # The working row (the lowest positive row) and its count, handed from
+    # move to move; None when it must be read off the heap.
+    row = value = None
 
-    while positive:
-        row = positive[0]
-        value = count[row]
-        if value <= 0:
-            heappop(positive)
-            continue
+    while True:
+        if row is None:
+            while positive and count[positive[0]] <= 0:
+                heappop(positive)
+            if not positive:
+                break
+            row = heappop(positive)
+            value = count[row]
         column = rightmost.get(row, -1)
         if column < 0 or ranks[column] != row:
             # Provably impossible while a positive row exists (a stale
@@ -362,36 +400,6 @@ def vib(
                 f"balancing exceeded its safety cap of {cap} moves; "
                 f"this indicates an implementation bug"
             )
-        if length > 1:
-            lowered = _add_to_rows(points, count, positive, row, row + length, -1)
-            raised = _add_to_rows(points, count, positive, row + b, row + b + length, 1)
-            _check(min(lowered) >= 0, mode, "run on column %d took a row count below zero", column + 1)
-            _check(
-                b > 0 or max(raised) <= 0,
-                mode,
-                "run on column %d made a row below its working rows positive",
-                column + 1,
-            )
-        elif b:
-            # One unit move, inline: row ``row`` loses a segment end, row
-            # ``row + b`` gains one; each is first split off its interval.
-            above = row + 1
-            if above not in count:
-                insort(points, above)
-                count[above] = value
-                heappush(positive, above)
-            count[row] = value - 1
-            end = row + b
-            end_value = count[end]
-            above = end + 1
-            if above not in count:
-                insort(points, above)
-                count[above] = end_value
-                if end_value > 0:
-                    heappush(positive, above)
-            count[end] = end_value + 1
-            if end_value == 0:
-                heappush(positive, end)
         top = row + length
         ranks[column] = top
         # Columns leave a block from its right end and join one at its left
@@ -402,7 +410,60 @@ def vib(
             rightmost[top] = column
             if column != last and ranks[column + 1] < top and mode != "off":
                 raise InvariantViolation(f"raising column {column + 1} broke the weakly increasing order")
-        append((column + 1, row, top))
+        if length > 1:
+            lowered = _add_to_rows(points, count, positive, row, top, -1)
+            raised = _add_to_rows(points, count, positive, row + b, top + b, 1)
+            _check(min(lowered) >= 0, mode, "run on column %d took a row count below zero", column + 1)
+            _check(
+                b > 0 or max(raised) <= 0,
+                mode,
+                "run on column %d made a row below its working rows positive",
+                column + 1,
+            )
+            append(~column)
+            append(top)
+            row = None
+        else:
+            append(column)
+            if b:
+                # One unit move, inline: row ``row`` loses a segment end, row
+                # ``row + b`` gains one; each is first split off its interval.
+                above = row + 1
+                if above not in count:
+                    insort(points, above)
+                    count[above] = value
+                    heappush(positive, above)
+                value -= 1
+                count[row] = value
+                end = row + b
+                end_value = count[end]
+                above = end + 1
+                if above not in count:
+                    insort(points, above)
+                    count[above] = end_value
+                    if end_value > 0:
+                        heappush(positive, above)
+                count[end] = end_value + 1
+                # Hand the working row on.  Only rows ``row`` and ``end``
+                # changed, and ``end`` turned positive exactly when it was 0
+                # (no count below the working row is positive).  It is then
+                # the lowest positive row if it lies below ``row``, or above
+                # a spent ``row`` with no heap entry under it.  A row left
+                # while positive goes on the heap; else the heap is read.
+                if end_value:
+                    if not value:
+                        row = None
+                elif b < 0:
+                    if value:
+                        heappush(positive, row)
+                    row, value = end, 1
+                elif value:
+                    heappush(positive, end)
+                elif not positive or positive[0] >= end:
+                    row, value = end, 1
+                else:
+                    heappush(positive, end)
+                    row = None
 
     _check(
         all(c == 0 for c in count.values()),
@@ -411,7 +472,7 @@ def vib(
     )
     final = PathDiagram(steps, ranks)
     trace = VibTrace(
-        runs=tuple(runs),
+        log=tuple(log),
         initial_ranks=diagram.ranks,
         final_ranks=final.ranks,
     )

@@ -22,6 +22,21 @@ from sweepmap import (
 )
 
 
+# The Dyck multisets of acceptance criterion 3, each enumerated in full.
+CRITERION_3_MULTISETS = (
+    "1^2,-1^2",
+    "1^3,-1^3",
+    "1^4,-1^4",
+    "1^5,-1^5",
+    "1^6,-1^6",
+    "3^2,-2^3",
+    "2^3,-3^2",
+    "2,1,0,-1,-2",
+    "2^2,0^2,-1^4",
+    "1^4,-2^2",
+)
+
+
 def loop_connected_ranks(steps) -> tuple[int, ...]:
     """Starting heights of the connected drawing, one running level."""
     ranks = []
@@ -137,6 +152,24 @@ def ref_vib(steps, ranks) -> tuple[tuple[int, ...], list[tuple[int, int, int, in
     return tuple(ranks), moves
 
 
+def least_balanced_ranks(steps, ranks) -> tuple[int, ...]:
+    """Iterate ``F(r) = max(r, sorted(r + d))`` from ``ranks`` until nothing
+    changes.
+
+    ``F`` is monotone and inflationary, keeps ranks weakly increasing, and is
+    fixed exactly where the start and end heights agree as multisets; so on
+    a weakly increasing start this reaches the least balanced increasing
+    placement above it, whatever order the raises are made in.
+    """
+    ranks = list(ranks)
+    while True:
+        ends = sorted(r + b for r, b in zip(ranks, steps))
+        raised = [max(r, e) for r, e in zip(ranks, ends)]
+        if raised == ranks:
+            return tuple(ranks)
+        ranks = raised
+
+
 def ref_hpath(steps, ranks, schedule: PermSchedule):
     """Unit-scan labeling tour: every label scans all columns for the
     rightmost unlabeled arrow at the walk's height.
@@ -243,20 +276,33 @@ def random_dyck_path(rng: random.Random, max_value: int = 3) -> Path:
     return Path(sorted(steps, reverse=True))
 
 
-def random_walk(rng: random.Random, n: int) -> Path:
-    """A Dyck path of about ``n`` steps: uniform steps in [-3, 3], a step that
-    would dip below zero is redrawn, and the walk is closed by down steps."""
+def random_walk(rng: random.Random, n: int, max_step: int = 3) -> Path:
+    """A Dyck path of about ``n`` steps: uniform steps in [-max_step,
+    max_step], a step that would dip below zero is redrawn, and the walk is
+    closed by down steps."""
     steps = []
     level = 0
     while len(steps) < n:
-        b = rng.randint(-3, 3)
+        b = rng.randint(-max_step, max_step)
         if level + b >= 0:
             steps.append(b)
             level += b
     while level:
-        b = min(3, level)
+        b = min(max_step, level)
         steps.append(-b)
         level -= b
+    return Path(steps)
+
+
+def spiked_walk(rng: random.Random, n: int) -> Path:
+    """A random walk of about ``n`` steps with three tall shapes,
+    ``(2K,-K,-K)`` or ``(K,-1,K,-(2K-1))``, spliced in: balancing makes
+    multi-row runs on them, which it does not on plain walks."""
+    steps = list(random_walk(rng, n).steps)
+    for _ in range(3):
+        k = rng.randint(5, 40)
+        at = rng.randrange(len(steps) + 1)
+        steps[at:at] = rng.choice(((2 * k, -k, -k), (k, -1, k, -(2 * k - 1))))
     return Path(steps)
 
 

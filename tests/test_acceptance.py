@@ -36,6 +36,7 @@ from sweepmap import (
 )
 from sweepmap.cli import run
 from helpers import (
+    CRITERION_3_MULTISETS,
     random_dyck_path,
     random_positive_diagram,
     random_ranks_between,
@@ -45,19 +46,6 @@ from helpers import (
 )
 
 SEED = 20240817
-
-CRITERION_3_MULTISETS = (
-    "1^2,-1^2",
-    "1^3,-1^3",
-    "1^4,-1^4",
-    "1^5,-1^5",
-    "1^6,-1^6",
-    "3^2,-2^3",
-    "2^3,-3^2",
-    "2,1,0,-1,-2",
-    "2^2,0^2,-1^4",
-    "1^4,-2^2",
-)
 
 
 def schedules_under_test():

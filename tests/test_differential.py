@@ -7,7 +7,9 @@ reasons and preimage from :func:`sweepmap.vib`/:func:`sweepmap.hpath` as from
 :func:`sweepmap.row_counts` as from the row scan.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,14 @@ from sweepmap import (
     CYCLE,
     IDENTITY,
     REVERSE,
+    EnumerationSpec,
     Path,
     PathDiagram,
+    PathKind,
     PreconditionError,
+    StepMultiset,
     VibMove,
+    enumerate_paths,
     hib,
     hpath,
     invert_pipeline,
@@ -30,6 +36,8 @@ from sweepmap import (
     vib,
 )
 from helpers import (
+    CRITERION_3_MULTISETS,
+    least_balanced_ranks,
     random_dyck_path,
     random_positive_diagram,
     random_schedule,
@@ -37,6 +45,7 @@ from helpers import (
     ref_hpath,
     ref_osweep,
     ref_vib,
+    spiked_walk,
     tally_row,
     tally_row_counts,
 )
@@ -182,6 +191,99 @@ def test_block_end_map_survives_an_emptied_block(steps, ranks, heights):
     _, trace = vib(diagram)
     assert refilled_heights(diagram, trace.runs) == heights
     assert_vib_matches(diagram)
+
+
+@pytest.mark.parametrize(
+    "steps,ranks,runs",
+    [
+        # down landing: column 4 lands on row 1 while the working row 2 keeps
+        # a count of 2, so row 1 is worked next and row 2 waits on the heap
+        (
+            (2, 1, 1, -1, -3),
+            (0, 0, 1, 2, 6),
+            ((2, 0, 1), (1, 0, 1), (3, 1, 2), (2, 1, 2), (4, 2, 3), (1, 1, 2), (3, 2, 3),
+             (2, 2, 3), (4, 3, 4), (1, 2, 3), (3, 3, 4), (4, 4, 5), (2, 3, 4), (3, 4, 5)),
+        ),
+        # level arrow: column 2 leaves row 0, which stays the working row
+        ((1, 0, -1), (0, 0, 2), ((2, 0, 1), (1, 0, 1))),
+        # up landing below the heap top: row 0 empties, row 1 turns positive
+        # and the heap holds only row 2, so row 1 is worked next
+        ((1, 1, -2), (0, 2, 5), ((1, 0, 1), (1, 1, 2), (2, 2, 3), (1, 2, 3), (2, 3, 4))),
+        # up landing above the heap top: row 0 empties and row 2 turns
+        # positive, but row 1 is on the heap below it and is worked first
+        ((2, 0, -2), (0, 0, 5), ((2, 0, 1), (1, 0, 1), (2, 1, 2), (1, 1, 2), (2, 2, 3), (1, 2, 3))),
+        # multi-row run: column 1 climbs rows 0 and 1, and the heap hands on
+        # row 3, not the run's top row 2
+        ((2, -1, -1), (0, 3, 3), ((1, 0, 2), (3, 3, 4))),
+    ],
+    ids=["down-landing", "level-arrow", "up-below-heap-top", "up-above-heap-top", "run-then-heap"],
+)
+def test_working_row_hand_offs(steps, ranks, runs):
+    # after each move the next working row is known without the heap, or
+    # read off it; each case takes one of those hand-offs
+    diagram = PathDiagram(steps, ranks)
+    assert vib(diagram)[1].runs == runs
+    assert_vib_matches(diagram)
+
+
+def test_counting_moves_leaves_the_log_unexpanded():
+    rng = random.Random("count")
+    for diagram in (
+        minimal_diagram(spiked_walk(rng, 120)),
+        minimal_diagram(Path((2 * 10**9, -(10**9), -(10**9)))),
+    ):
+        _, trace = vib(diagram)
+        size = sum(trace.final_ranks) - sum(trace.initial_ranks)
+        assert len(trace.moves) == len(trace) == size > 0
+        assert "runs" not in trace.__dict__
+
+
+def test_a_read_trace_is_freed_without_the_cycle_collector():
+    _, trace = vib(minimal_diagram(Path((2, 0, 2, -3, 1, -2))))
+    assert len(trace.moves) == len(trace.runs) == 5
+    freed = weakref.ref(trace)
+    gc.disable()
+    try:
+        del trace
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_expanded_runs_equal_reference_moves_on_spiked_walks():
+    rng = random.Random("spikes")
+    long_runs = 0
+    for n in (100, 120, 150):
+        for _ in range(2):
+            diagram = minimal_diagram(spiked_walk(rng, n))
+            assert_vib_matches(diagram)
+            long_runs += sum(stop - start > 1 for _, start, stop in vib(diagram)[1].runs)
+    assert long_runs > 0
+
+
+def assert_least_fixed_point(path):
+    minimal = minimal_diagram(path)
+    assert vib(minimal)[0].ranks == least_balanced_ranks(minimal.steps, minimal.ranks)
+
+
+def test_balancing_reaches_the_least_fixed_point():
+    rng = random.Random("fixed point")
+    for max_step, sizes in ((3, (1, 10, 40, 100, 300)), (300, (5, 10, 20, 40))):
+        for n in sizes:
+            for _ in range(3):
+                assert_least_fixed_point(random_walk(rng, n, max_step))
+    for text in CRITERION_3_MULTISETS:
+        for path in enumerate_paths(EnumerationSpec(StepMultiset.from_text(text), PathKind.DYCK)):
+            assert_least_fixed_point(path)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("max_step,sizes", [(3, (1000, 2000)), (3000, (100, 100, 100))])
+def test_balancing_reaches_the_least_fixed_point_at_scale(max_step, sizes):
+    # the oracle makes thousands of O(n log n) rounds: about a minute in all
+    rng = random.Random(f"fixed point/{max_step}")
+    for n in sizes:
+        assert_least_fixed_point(random_walk(rng, n, max_step))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
