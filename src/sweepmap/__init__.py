@@ -42,7 +42,6 @@ from .invert import (
     InversionResult,
     VibMove,
     VibTrace,
-    default_step_cap,
     hpath,
     inv_osweep,
     invert_pipeline,
@@ -99,7 +98,6 @@ __all__ = [
     "builtin",
     "complete",
     "connected_diagram",
-    "default_step_cap",
     "enumerate_paths",
     "family_size",
     "hib",

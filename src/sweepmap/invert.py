@@ -17,9 +17,12 @@ valid input the checks can never fire; they exist to turn latent bugs into
 loud ones.
 
 Cost: each stage checks its input and builds its starting state in one
-scan of the columns, most of an inversion on a short path.  Balancing keeps
-the row counts as a step function over breakpoints (the heights where arrows
-start or end) and makes its unit moves in runs, raising one column over as
+scan of the columns (:func:`sweepmap.paths._scan`), most of an inversion on
+a short path.  The scan also yields the row count's jumps, the ones
+:func:`~sweepmap.paths.row_counts` and :func:`~sweepmap.paths.is_balanced`
+read: the labeling tour checks them for zero, and balancing starts from the
+step function they give over breakpoints (the heights where arrows start or
+end).  Balancing makes its unit moves in runs, raising one column over as
 many rows as the unit rule would in a row.  A run finds its column in O(1)
 from a pointer to the rightmost column at each height, and its working row
 is handed on from the move before: the heap of positive rows is read only
@@ -33,13 +36,10 @@ and unit moves only when they are read.  A labeling round is O(n).
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import InvariantViolation, PreconditionError, StepLimitExceeded
@@ -49,6 +49,8 @@ from .paths import (
     PathKind,
     _kind_of,
     _require_kind,
+    _scan,
+    _step_function,
     complete,
     connected_diagram,
     is_balanced,
@@ -85,42 +87,19 @@ class VibMove(NamedTuple):
         return self._asdict()
 
 
-class VibMoves(Sequence):
-    """The unit moves of a balancing trace, expanded from its runs on demand.
+class VibMoves:
+    """The unit moves of a balancing trace: ``len`` is their number, read off
+    the ranks, and iteration builds one :class:`VibMove` per move from the
+    trace's runs."""
 
-    Reads as the tuple of :class:`VibMove` records it stands for: ``len`` is
-    the number of unit moves, indexing and iteration build the records, and
-    it compares equal to that tuple.  Only the records asked for are built,
-    and the trace's runs only once a record is.
-    """
-
-    __slots__ = ("_trace", "_size", "_ends")
+    __slots__ = ("_trace",)
 
     def __init__(self, trace: VibTrace) -> None:
         self._trace = trace
-        # every unit move raises one rank by one
-        self._size = sum(trace.final_ranks) - sum(trace.initial_ranks)
-        self._ends: list[int] | None = None
 
     def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(self._size)))
-        index = operator.index(index)
-        if index < 0:
-            index += self._size
-        if not 0 <= index < self._size:
-            raise IndexError("move index out of range")
-        runs = self._trace.runs
-        if self._ends is None:
-            # _ends[k]: moves made by runs 0..k, so run k holds steps _ends[k-1]+1.._ends[k]
-            self._ends = list(accumulate(stop - start for _, start, stop in runs))
-        k = bisect_right(self._ends, index)
-        column, start, _ = runs[k]
-        row = start + index - (self._ends[k - 1] if k else 0)
-        return VibMove(index + 1, row, column, row, row + 1)
+        # every unit move raises one rank by one
+        return sum(self._trace.final_ranks) - sum(self._trace.initial_ranks)
 
     def __iter__(self):
         step = 0
@@ -128,14 +107,6 @@ class VibMoves(Sequence):
             for row in range(start, stop):
                 step += 1
                 yield VibMove(step, row, column, row, row + 1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (VibMoves, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} balancing moves in {len(self._trace.runs)} runs>"
 
 
 @dataclass(frozen=True)
@@ -221,8 +192,9 @@ class InversionResult:
     hpath_trace: HPathTrace
 
 
-def default_step_cap(diagram: PathDiagram) -> int:
-    """Safety cap on balancing moves: ``N * (max rank + sum of up steps)``.
+def _step_cap(n: int, top_rank: int, up: int) -> int:
+    """Safety cap on the balancing moves of ``n`` arrows whose largest rank is
+    ``top_rank`` and whose up steps sum to ``up``: ``n * (top_rank + up)``.
 
     Balancing stops at the least balanced placement above its start.  The
     sweep-ordered drawing of a Dyck path, lifted by the start's largest
@@ -230,10 +202,6 @@ def default_step_cap(diagram: PathDiagram) -> int:
     most that rank plus the sum of the up steps, so the cap never binds on
     valid input; it only converts an implementation bug into a clean error.
     """
-    return _step_cap(len(diagram), max(diagram.ranks, default=0), sum(b for b in diagram.steps if b > 0))
-
-
-def _step_cap(n: int, top_rank: int, up: int) -> int:
     return n * (top_rank + up)
 
 
@@ -289,34 +257,10 @@ def _add_to_rows(
     return values
 
 
-def _scan(steps: tuple[int, ...], ranks: list[int]) -> tuple[bool, int, int, dict[int, int], dict[int, int]]:
-    """One pass for what :func:`vib` and :func:`hpath` check and start from: rank
-    order, lowest arrow end (or 0), up-step total, rightmost column per height,
-    and the row count's jumps (+1 where an arrow starts, -1 where it ends)."""
-    rightmost: dict[int, int] = {}
-    jump: dict[int, int] = {}
-    increasing = True
-    lowest_end = up = 0
-    for column, (b, r) in enumerate(zip(steps, ranks)):
-        if column and ranks[column - 1] > r:
-            increasing = False
-        rightmost[r] = column
-        end = r + b
-        if end < lowest_end:
-            lowest_end = end
-        if b:
-            jump[r] = jump.get(r, 0) + 1
-            jump[end] = jump.get(end, 0) - 1
-            if b > 0:
-                up += b
-    return increasing, lowest_end, up, rightmost, jump
-
-
 def vib(
     diagram: PathDiagram,
     *,
     checks: str = "error",
-    step_cap: int | None = None,
 ) -> tuple[PathDiagram, VibTrace]:
     """Raise arrows until the diagram balances.
 
@@ -327,8 +271,8 @@ def vib(
     must form a Dyck path.
 
     Once an arrow is picked, every further move the rule would make on it,
-    row after row, is made at once as one run.  ``step_cap`` still counts
-    unit moves.
+    row after row, is made at once as one run.  The safety cap
+    (:func:`_step_cap`) still counts unit moves.
     """
     mode = _validate_mode(checks)
     steps = diagram.steps
@@ -348,14 +292,14 @@ def vib(
     # The row count as a step function: count[p] holds from breakpoint p up to
     # the next one.  Breakpoints are added, never removed, and the start and
     # end height of every arrow stay among them.
-    points = sorted(jump)
-    count = dict(zip(points, accumulate(map(jump.__getitem__, points))))
+    points, counts = _step_function(jump)
+    count = dict(zip(points, counts))
     # Min-heap holding the start of every positive interval but the working
     # row; starts no longer positive are dropped lazily when they reach the top.
     positive = [p for p, c in count.items() if c > 0]
     heapify(positive)
     # increasing ranks peak at the last
-    cap = _step_cap(n, ranks[-1] if n else 0, up) if step_cap is None else step_cap
+    cap = _step_cap(n, ranks[-1] if n else 0, up)
     log: list[int] = []
     append = log.append
     last = n - 1

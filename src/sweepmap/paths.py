@@ -7,7 +7,10 @@ connected or pulled apart vertically.  Row ``j`` is the horizontal strip
 between heights ``j`` and ``j+1``; its count is the number of up-arrow
 segments crossing it minus the number of down-arrow segments.  A diagram is
 *balanced* when every row count is zero, the pivotal property for inverting
-the sweep maps defined in :mod:`sweepmap.sweep`.  :func:`complete` and
+the sweep maps defined in :mod:`sweepmap.sweep`.  The counts form a step
+function built one way only: :func:`_scan` records its jumps (+1 where an
+arrow starts, -1 where it ends), which :func:`row_counts`,
+:func:`is_balanced` and the inversion in :mod:`sweepmap.invert` all read.  :func:`complete` and
 :func:`strip` carry incomplete Dyck paths to Dyck paths and back.
 
 All values here are immutable and all operations are pure functions, so they
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
 
@@ -211,105 +214,82 @@ class PathDiagram:
         return self.is_increasing and all(e >= 0 for e in self.end_ranks)
 
 
-def _breakpoints(steps: Iterable[int], ranks: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
-    """The row tallies as step functions: sorted rows ``points`` where a
-    tally may change, and the red and blue tallies on each interval
-    ``[points[i], points[i+1])``; both are zero below the first point and
-    from the last one on.
+def _scan(steps: Sequence[int], ranks: Sequence[int]) -> tuple[bool, int, int, dict[int, int], dict[int, int]]:
+    """One pass over the columns: rank order, lowest arrow end (or 0),
+    up-step total, rightmost column per height, and the row count's jumps
+    (+1 where an arrow starts, -1 where it ends; level arrows add none).
 
-    An up arrow adds one red segment on rows ``[r, r+b)`` and a down arrow
-    one blue segment on ``[r+b, r)``, so each arrow is two breakpoints:
-    O(n log n) in the number of arrows, whatever the step sizes.
+    The jumps are the one source of row counts: ``count(j)`` is the sum of
+    the jumps at heights up to ``j``.
     """
-    red_delta: dict[int, int] = {}
-    blue_delta: dict[int, int] = {}
-    for b, r in zip(steps, ranks):
-        if b > 0:
-            red_delta[r] = red_delta.get(r, 0) + 1
-            red_delta[r + b] = red_delta.get(r + b, 0) - 1
-        elif b < 0:
-            blue_delta[r + b] = blue_delta.get(r + b, 0) + 1
-            blue_delta[r] = blue_delta.get(r, 0) - 1
-    points = sorted(red_delta.keys() | blue_delta.keys())
-    red, blue = [], []
-    red_total = blue_total = 0
+    rightmost: dict[int, int] = {}
+    jump: dict[int, int] = {}
+    increasing = True
+    lowest_end = up = 0
+    for column, (b, r) in enumerate(zip(steps, ranks)):
+        if column and ranks[column - 1] > r:
+            increasing = False
+        rightmost[r] = column
+        end = r + b
+        if end < lowest_end:
+            lowest_end = end
+        if b:
+            jump[r] = jump.get(r, 0) + 1
+            jump[end] = jump.get(end, 0) - 1
+            if b > 0:
+                up += b
+    return increasing, lowest_end, up, rightmost, jump
+
+
+def _step_function(jump: dict[int, int]) -> tuple[list[int], list[int]]:
+    """The sorted breakpoints of the jumps and the row count on each interval
+    ``[points[i], points[i+1])``; the count is zero below the first point
+    and from the last one on.  Two breakpoints per arrow: O(n log n) in the
+    number of arrows, whatever the step sizes."""
+    points = sorted(jump)
+    counts = []
+    total = 0
     for p in points:
-        red_total += red_delta.get(p, 0)
-        blue_total += blue_delta.get(p, 0)
-        red.append(red_total)
-        blue.append(blue_total)
-    return points, red, blue
+        total += jump[p]
+        counts.append(total)
+    return points, counts
 
 
 class RowCounts:
-    """Per-row segment tallies; rows never touched count as zero.
+    """Per-row counts; rows never touched count as zero.
 
-    Built by :func:`row_counts`.  The tallies are kept per breakpoint
-    interval, so a lookup is a bisection and nothing but :meth:`rows` visits
-    individual rows.
+    Built by :func:`row_counts`.  The counts are kept per breakpoint
+    interval, so a lookup is a bisection.
     """
 
-    __slots__ = ("_points", "_red", "_blue")
+    __slots__ = ("_points", "_counts")
 
-    def __init__(self, points: list[int], red: list[int], blue: list[int]) -> None:
+    def __init__(self, points: list[int], counts: list[int]) -> None:
         self._points = points
-        self._red = red
-        self._blue = blue
-
-    def _at(self, tallies: list[int], row: int) -> int:
-        i = bisect_right(self._points, row) - 1
-        return tallies[i] if i >= 0 else 0
-
-    def red(self, row: int) -> int:
-        return self._at(self._red, row)
-
-    def blue(self, row: int) -> int:
-        return self._at(self._blue, row)
+        self._counts = counts
 
     def count(self, row: int) -> int:
-        return self.red(row) - self.blue(row)
-
-    def rows(self) -> list[int]:
-        """Sorted rows containing at least one segment."""
-        points = self._points
-        return [
-            j
-            for lo, hi, red, blue in zip(points, points[1:], self._red, self._blue)
-            if red or blue
-            for j in range(lo, hi)
-        ]
-
-    @property
-    def total(self) -> int:
-        points = self._points
-        return sum(
-            (hi - lo) * (red - blue)
-            for lo, hi, red, blue in zip(points, points[1:], self._red, self._blue)
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return self._red == self._blue
+        i = bisect_right(self._points, row) - 1
+        return self._counts[i] if i >= 0 else 0
 
 
 def row_counts(diagram: PathDiagram) -> RowCounts:
-    """Tally red (up) and blue (down) segments per row.
+    """Up segments minus down segments per row.
 
-    An up arrow from height ``r`` contributes one red segment to each of rows
-    ``r .. r+b-1``; a down arrow contributes one blue segment to each of rows
-    ``r+b .. r-1``; a level arrow contributes nothing.
+    An up arrow from height ``r`` covers rows ``r .. r+b-1``, a down arrow
+    rows ``r+b .. r-1``, and a level arrow none.
     """
-    return RowCounts(*_breakpoints(diagram.steps, diagram.ranks))
+    return RowCounts(*_step_function(_scan(diagram.steps, diagram.ranks)[4]))
 
 
 def is_balanced(diagram: PathDiagram) -> bool:
     """True iff every row count of the diagram is zero.
 
-    ``count(j) - count(j-1)`` is the number of arrows starting at height
-    ``j`` minus the number ending there, so every count vanishes exactly when
-    the start heights and the end heights agree as multisets.
+    ``count(j) - count(j-1)`` is the jump at height ``j``, and the counts
+    are zero below every arrow, so every count vanishes exactly when every
+    jump does.
     """
-    return sorted(diagram.ranks) == sorted(diagram.end_ranks)
+    return not any(_scan(diagram.steps, diagram.ranks)[4].values())
 
 
 def minimal_diagram(path: Path) -> PathDiagram:

@@ -26,6 +26,12 @@ def _extent(diagram: PathDiagram) -> tuple[int, int]:
     return min(heights), max(heights)
 
 
+def _segment_extent(diagram: PathDiagram) -> tuple[int, int]:
+    """Lowest and highest row an up or down segment covers, or ``(0, 0)``."""
+    heights = [h for b, r in zip(diagram.steps, diagram.ranks) if b for h in (r, r + b)]
+    return min(heights, default=0), max(heights, default=1) - 1
+
+
 def render_ascii(diagram: PathDiagram) -> str:
     """One character per lattice cell: R for an up segment, B for a down
     segment, a dot otherwise; height label left, row count right."""
@@ -33,9 +39,7 @@ def render_ascii(diagram: PathDiagram) -> str:
     if n == 0:
         return "(empty diagram)\n"
     rc = row_counts(diagram)
-    segment_rows = rc.rows()
-    low = min(segment_rows, default=0)
-    high = max(segment_rows, default=0)
+    low, high = _segment_extent(diagram)
     width = max(len(str(j)) for j in range(low, high + 1))
     lines = []
     for j in range(high, low - 1, -1):

@@ -1,14 +1,21 @@
-"""The per-change benchmark records at the repository root.
+"""The benchmark's records at the repository root and its hooks into the library.
 
 Every ``BENCH_<change>.json`` holds the parent and change runs behind one
 performance claim.  These checks keep each record readable against the
-benchmark's own definition in ``BENCHMARK.json``, which they only read.
+benchmark's own definition in ``BENCHMARK.json``, and check that every
+library name the benchmark wraps or reads still resolves.  They only read
+``BENCHMARK.json`` and ``perfbench/``.
 """
 
+import importlib.util
+import inspect
 import json
 from pathlib import Path
 
 import pytest
+
+import sweepmap.cli
+import sweepmap.paths
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
@@ -51,3 +58,21 @@ def test_record_matches_the_benchmark(path, definition):
     claimed = record["workloads"][claim["workload"]]["metrics"][claim["metric"]]
     assert claim["parent_median"] == claimed["parent"]["median"]
     assert claim["change_median"] == claimed["change"]["median"]
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/tracing.py wraps the traced layers by module and name, and
+    # perfbench/run.py reads the default checks mode; a removed name fails
+    # every benchmark run, so install and uninstall the tracer here
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    row_counts = sweepmap.paths.row_counts
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert sweepmap.paths.row_counts is not row_counts
+    finally:
+        tracer.uninstall()
+    assert sweepmap.paths.row_counts is row_counts
+    assert inspect.signature(sweepmap.invert_pipeline).parameters["checks"].default == "error"

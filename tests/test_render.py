@@ -1,3 +1,5 @@
+import pytest
+
 from sweepmap import PathDiagram, connected_diagram, Path, render_ascii, render_svg
 
 
@@ -22,6 +24,19 @@ class TestAscii:
 
     def test_empty(self):
         assert render_ascii(PathDiagram((), ())) == "(empty diagram)\n"
+
+    @pytest.mark.parametrize(
+        "diagram,text",
+        [
+            # rows 0 and 1 hold only cancelling segments (count 0) and the
+            # level arrow at height 5 lies outside them: rows 0..1 are drawn
+            (PathDiagram((0, 2, -2), (5, 0, 2)), "1 | .RB | 0\n0 | .RB | 0\n"),
+            # no segment at all: row 0 alone
+            (PathDiagram((0,), (5,)), "0 | . | 0\n"),
+        ],
+    )
+    def test_rows_span_the_segments(self, diagram, text):
+        assert render_ascii(diagram) == text
 
     def test_byte_stable(self, nine_arrow_diagram):
         assert render_ascii(nine_arrow_diagram) == render_ascii(nine_arrow_diagram)
