@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     ScheduleError,
 )
-from .invert import invert_pipeline
+from .invert import inv_osweep, invert_pipeline
 from .paths import Path, PathDiagram, PathKind, StepMultiset, _require_kind, connected_diagram, parse_int_list
 from .sweep import osweep, sweep
 
@@ -157,7 +157,7 @@ def _cmd_osweep(args) -> _Output:
 def _cmd_invert(args) -> _Output:
     path = _interpret(args)
     schedule = schedules.from_text(args.schedule)
-    preimage = invert_pipeline(path, schedule).preimage
+    preimage = inv_osweep(path, schedule)
     if args.oracle:
         expected = families.oracle_invert(path, schedule)
         if expected != preimage:

@@ -7,9 +7,9 @@ above height zero when started from height ``a``.  Its forward maps are
 Prefixing the up step ``a`` (:func:`complete`) gives a Dyck path, and the
 order sweep with schedule ``s`` equals strip-of-osweep-of-completion with the
 lift of ``s``: the lift emits the added arrow first, which is what makes the
-two agree (the tests check it).  :func:`~sweepmap.invert.invert_pipeline`
-inverts an incomplete path along that conjugation, so ``inv_osweep`` covers
-both kinds; the wrappers here only add the kind check every entry shares.
+two agree (the tests check it).  ``inv_osweep`` and
+:func:`~sweepmap.invert.invert_pipeline` invert an incomplete path along that
+conjugation; the wrappers here only add the kind check every entry shares.
 """
 
 from __future__ import annotations

@@ -9,29 +9,34 @@ path, on its completion under the lifted schedule; see :func:`invert_pipeline`):
 3. walk the balanced diagram as a labeling tour that reads the preimage off
    column by column (:func:`hpath`).
 
-Both algorithms log every move into a trace, and the facts their correctness
-proofs rely on are re-checked at runtime as they go.  The ``checks`` argument
-selects what happens when such a fact fails: ``"error"`` raises
-:class:`~sweepmap.errors.InvariantViolation`, ``"off"`` skips the checks.  On
-valid input the checks can never fire; they exist to turn latent bugs into
-loud ones.
+Each stage is a kernel on plain lists (``_balance``, ``_label``) that
+:func:`vib`, :func:`hpath` and :func:`invert_pipeline` wrap in diagrams and
+traces, and that :func:`inv_osweep` runs straight through, building neither.
+The facts their correctness proofs rely on are re-checked at runtime as they
+go.  The ``checks`` argument selects what happens when such a fact fails:
+``"error"`` raises :class:`~sweepmap.errors.InvariantViolation`, ``"off"``
+skips the checks.  On valid input the checks can never fire; they exist to
+turn latent bugs into loud ones.
 
-Cost: each stage checks its input and builds its starting state in one
-scan of the columns (:func:`sweepmap.paths._scan`), most of an inversion on
-a short path.  The scan also yields the row count's jumps, the ones
-:func:`~sweepmap.paths.row_counts` and :func:`~sweepmap.paths.is_balanced`
-read: the labeling tour checks them for zero, and balancing starts from the
-step function they give over breakpoints (the heights where arrows start or
-end).  Balancing makes its unit moves in runs, raising one column over as
-many rows as the unit rule would in a row.  A run finds its column in O(1)
-from a pointer to the rightmost column at each height, and its working row
-is handed on from the move before: the heap of positive rows is read only
-after a multi-row run or once both rows a move changed are spent.  Its heap
-operations and interval splits are its only O(log n) parts, plus one step
-per interval a longer run crosses, all independent of the step magnitudes
-|b|; how many runs a path needs depends on its shape.  Each run is logged as
-one int (two for a multi-row run), and the trace replays the log into runs
-and unit moves only when they are read.  A labeling round is O(n).
+Cost: a stage checks its input and builds its starting state in one scan of
+the columns (:func:`sweepmap.paths._scan`), most of an inversion on a short
+path; :func:`inv_osweep` scans once, as labeling starts from balancing's
+final ranks and column pointers.  The scan also yields the row count's
+jumps, the ones :func:`~sweepmap.paths.row_counts` and
+:func:`~sweepmap.paths.is_balanced` read: :func:`hpath` checks them for
+zero, and balancing starts from the step function they give over
+breakpoints (the heights where arrows start or end).  Balancing makes its
+unit moves in runs, raising one column over as many rows as the unit rule
+would in a row.  A run finds its column in O(1) from a pointer to the
+rightmost column at each height, and its working row is handed on from the
+move before: the heap of positive rows is read only after a multi-row run
+or once both rows a move changed are spent.  Its heap operations and
+interval splits are its only O(log n) parts, plus one step per interval a
+longer run crosses, all independent of the step magnitudes |b|; how many
+runs a path needs depends on its shape.  Each run is logged as one int (two
+for a multi-row run); a labeling round keeps its label order as ints.  The
+traces replay these into runs, unit moves and labels only when read.  A
+labeling round is O(n).
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .paths import (
     PathDiagram,
     PathKind,
     _kind_of,
+    _minimal_ranks,
     _require_kind,
     _scan,
     _step_function,
@@ -162,13 +168,22 @@ class HPathLabel(NamedTuple):
 
 @dataclass(frozen=True)
 class HPathRound:
-    """One labeling attempt: either it labels everything or it gets stuck at
-    height zero, in which case every unlabeled arrow is shifted down one."""
+    """Labeling attempt ``number``: either it labels everything or it gets
+    stuck at height zero, in which case every unlabeled arrow is shifted down
+    one.  ``order`` holds the labeled 0-based columns in label order, and
+    :attr:`labels` is built from it only when read."""
 
     k: int
-    labels: tuple[HPathLabel, ...]
+    order: tuple[int, ...]
     stop_reason: str  # "completed" | "stuck-at-level-0"
     diagram_after: PathDiagram
+    number: int
+
+    @cached_property
+    def labels(self) -> tuple[HPathLabel, ...]:
+        # a labeled column keeps its rank through the round's downshift
+        ranks = self.diagram_after.ranks
+        return tuple(HPathLabel(self.number, i, j + 1, ranks[j]) for i, j in enumerate(self.order, 1))
 
 
 @dataclass(frozen=True)
@@ -257,34 +272,19 @@ def _add_to_rows(
     return values
 
 
-def vib(
-    diagram: PathDiagram,
-    *,
-    checks: str = "error",
-) -> tuple[PathDiagram, VibTrace]:
-    """Raise arrows until the diagram balances.
-
-    Repeatedly: take the lowest row with positive count, take the rightmost
-    arrow starting at that height, raise it one.  Stops when no row count is
-    positive, at which point all counts are exactly zero.  The input must be
-    weakly increasing with no arrow ending below height zero, and its steps
-    must form a Dyck path.
-
-    Once an arrow is picked, every further move the rule would make on it,
-    row after row, is made at once as one run.  The safety cap
-    (:func:`_step_cap`) still counts unit moves.
-    """
-    mode = _validate_mode(checks)
-    steps = diagram.steps
+def _balance(steps: tuple[int, ...], ranks: list[int], dyck: bool, mode: str) -> tuple[list[int], dict[int, int]]:
+    """The balancing of :func:`vib` on plain lists: check the input in one
+    scan, raise ``ranks`` in place, and return the log and the rightmost
+    column at each height (an emptied height keeps a stale pointer, -1 or a
+    column now elsewhere).  ``dyck`` says whether the steps form a Dyck path."""
     n = len(steps)
-    ranks = list(diagram.ranks)
     increasing, lowest_end, up, rightmost, jump = _scan(steps, ranks)
     problems = []
     if not increasing:
         problems.append("ranks are not weakly increasing")
     if lowest_end < 0:
         problems.append("an arrow ends below height zero")
-    if _kind_of(steps) is not PathKind.DYCK:
+    if not dyck:
         problems.append("steps do not form a Dyck path")
     if problems:
         raise PreconditionError("vib input rejected: " + "; ".join(problems))
@@ -414,13 +414,65 @@ def vib(
         mode,
         "balancing stopped with a nonzero row count",
     )
+    return log, rightmost
+
+
+def vib(
+    diagram: PathDiagram,
+    *,
+    checks: str = "error",
+) -> tuple[PathDiagram, VibTrace]:
+    """Raise arrows until the diagram balances.
+
+    Repeatedly: take the lowest row with positive count, take the rightmost
+    arrow starting at that height, raise it one.  Stops when no row count is
+    positive, at which point all counts are exactly zero.  The input must be
+    weakly increasing with no arrow ending below height zero, and its steps
+    must form a Dyck path.
+
+    Once an arrow is picked, every further move the rule would make on it,
+    row after row, is made at once as one run.  The safety cap
+    (:func:`_step_cap`) still counts unit moves.
+    """
+    mode = _validate_mode(checks)
+    steps = diagram.steps
+    ranks = list(diagram.ranks)
+    log, _ = _balance(steps, ranks, _kind_of(steps) is PathKind.DYCK, mode)
     final = PathDiagram(steps, ranks)
-    trace = VibTrace(
-        log=tuple(log),
-        initial_ranks=diagram.ranks,
-        final_ranks=final.ranks,
-    )
-    return final, trace
+    return final, VibTrace(log=tuple(log), initial_ranks=diagram.ranks, final_ranks=final.ranks)
+
+
+def _label(
+    steps: tuple[int, ...], ranks: list[int], rightmost: dict[int, int], inverse: tuple[int, ...]
+) -> tuple[list[int], list[bool], int]:
+    """One labeling round of :func:`hpath` on plain lists, whose height-zero
+    columns are the first ``len(inverse)``; it consumes the ``rightmost``
+    pointers.  Returns the columns in label order, which columns are
+    labeled, and the height the walk stopped at; the round completed when
+    every column is labeled."""
+    labeled = [False] * len(steps)
+    order: list[int] = []
+    k = len(inverse)
+    level = zero_visits = 0
+    for _ in steps:
+        if level == 0:
+            if zero_visits == k:
+                break
+            j = inverse[zero_visits] - 1
+            zero_visits += 1
+            if labeled[j]:
+                # A fresh visit index through a bijection cannot repeat a
+                # column; a hit here means corrupted input or schedule.
+                raise InvariantViolation(f"height-zero selection landed on already-labeled column {j + 1}")
+        else:
+            j = rightmost.get(level, -1)
+            if j < 0 or ranks[j] != level:
+                break
+            rightmost[level] = j - 1
+        labeled[j] = True
+        order.append(j)
+        level = ranks[j] + steps[j]
+    return order, labeled, level
 
 
 def hpath(
@@ -466,46 +518,12 @@ def hpath(
 
     while True:
         k = bisect_right(ranks, 0)  # the ranks increase from 0: columns 0..k-1 are at 0
-        inverse = schedule.inverse_perm(k)
-        labeled = [False] * n
-        label_order: list[int] = []
-        labels: list[HPathLabel] = []
-        level = 0
-        zero_visits = 0
-        stuck = False
-
-        for i in range(1, n + 1):
-            if level == 0:
-                zero_visits += 1
-                if zero_visits > k:
-                    stuck = True
-                    break
-                j = inverse[zero_visits - 1] - 1
-                if labeled[j]:
-                    # A fresh visit index through a bijection cannot repeat a
-                    # column; a hit here means corrupted input or schedule.
-                    raise InvariantViolation(
-                        f"height-zero selection landed on already-labeled column {j + 1}"
-                    )
-            else:
-                j = rightmost.get(level, -1)
-                if j < 0 or ranks[j] != level:
-                    stuck = True
-                    break
-                rightmost[level] = j - 1
-            labeled[j] = True
-            label_order.append(j)
-            labels.append(HPathLabel(len(rounds) + 1, i, j + 1, ranks[j]))
-            level = ranks[j] + steps[j]
-
-        if not stuck:
+        order, labeled, level = _label(steps, ranks, rightmost, schedule.inverse_perm(k))
+        if len(order) == n:
             # A first round leaves the ranks as they came, so it keeps the input.
             final = PathDiagram(steps, ranks) if rounds else diagram
-            rounds.append(
-                HPathRound(k=k, labels=tuple(labels), stop_reason="completed", diagram_after=final)
-            )
-            preimage = Path(steps[j] for j in label_order)
-            return preimage, HPathTrace(rounds=tuple(rounds))
+            rounds.append(HPathRound(k, tuple(order), "completed", final, len(rounds) + 1))
+            return Path(steps[j] for j in order), HPathTrace(rounds=tuple(rounds))
 
         # Stuck state: everything the structure theory promises, re-checked.
         _check(level == 0, mode, "labeling walk stranded at height %d, not zero", level)
@@ -514,7 +532,7 @@ def hpath(
             mode,
             "stuck with an unlabeled height-zero arrow",
         )
-        prefix = Path(steps[j] for j in label_order)
+        prefix = Path(steps[j] for j in order)
         _check(prefix.is_dyck, mode, "labeled prefix is not a Dyck path")
         _check(
             is_balanced(connected_diagram(prefix)),
@@ -537,14 +555,7 @@ def hpath(
         if k > 0:
             # With height-zero arrows present the first column keeps rank 0.
             _check(ranks[0] == 0, mode, "downshift moved the first rank off zero")
-        rounds.append(
-            HPathRound(
-                k=k,
-                labels=tuple(labels),
-                stop_reason="stuck-at-level-0",
-                diagram_after=shifted,
-            )
-        )
+        rounds.append(HPathRound(k, tuple(order), "stuck-at-level-0", shifted, len(rounds) + 1))
         if len(rounds) > round_budget:
             raise InvariantViolation(
                 "labeling restarted more times than the total rank allows; "
@@ -604,5 +615,27 @@ def invert_pipeline(
 
 def inv_osweep(path: Path, schedule: PermSchedule, *, checks: str = "error") -> Path:
     """The preimage of ``path``, a Dyck or an incomplete Dyck path, under the
-    order sweep map with ``schedule``."""
-    return invert_pipeline(path, schedule, checks=checks).preimage
+    order sweep map with ``schedule``.
+
+    The stages of :func:`invert_pipeline` with no diagram or trace built:
+    balancing hands its final ranks and column pointers straight to one
+    labeling round.  A round that completes on increasing ranks from zero
+    walks a closed path through every arrow, so the diagram was balanced.
+    Should the ranks come out of order or the round strand (neither happens
+    on valid input), the pipeline runs instead, and refuses, checks and
+    restarts as it always does.
+    """
+    mode = _validate_mode(checks)
+    _require_kind(path, "inversion", PathKind.DYCK, PathKind.INCOMPLETE)
+    dyck, lifted = (complete(path), schedule.lift()) if path.is_incomplete else (path, schedule)
+    steps = dyck.steps
+    ranks = _minimal_ranks(steps)
+    # the kind decided above makes the completion a Dyck path
+    _, rightmost = _balance(steps, ranks, True, mode)
+    order: list[int] = []
+    if ranks == sorted(ranks) and (not ranks or ranks[0] >= 0):
+        order = _label(steps, ranks, rightmost, lifted.inverse_perm(bisect_right(ranks, 0)))[0]
+    if len(order) < len(steps):
+        return invert_pipeline(path, schedule, checks=checks).preimage
+    preimage = Path(steps[j] for j in order)
+    return preimage if dyck is path else strip(preimage)

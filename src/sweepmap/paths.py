@@ -298,12 +298,17 @@ def minimal_diagram(path: Path) -> PathDiagram:
 
     Ranks follow ``r_1 = max(0, -b_1)`` and ``r_{i+1} = max(r_i, -b_{i+1})``.
     """
+    return PathDiagram(path.steps, _minimal_ranks(path.steps))
+
+
+def _minimal_ranks(steps: Sequence[int]) -> list[int]:
+    """The ranks of :func:`minimal_diagram`, as a list."""
     ranks = []
     prev = 0
-    for b in path.steps:
+    for b in steps:
         prev = -b if -b > prev else prev
         ranks.append(prev)
-    return PathDiagram(path.steps, ranks)
+    return ranks
 
 
 def connected_diagram(path: Path) -> PathDiagram:

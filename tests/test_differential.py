@@ -4,12 +4,15 @@ oracles.
 Each case demands the same final ranks, move list, label list, rounds, stop
 reasons and preimage from :func:`sweepmap.vib`/:func:`sweepmap.hpath` as from
 ``helpers.ref_vib``/``helpers.ref_hpath``, and the same tallies from
-:func:`sweepmap.row_counts` as from the row scan.
+:func:`sweepmap.row_counts` as from the row scan.  The trace-free
+:func:`sweepmap.inv_osweep` must give the traced pipeline's preimage, which
+the reference forward map takes back to its input.
 """
 
 import gc
 import random
 import weakref
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,7 @@ from sweepmap import (
     enumerate_paths,
     hib,
     hpath,
+    inv_osweep,
     invert_pipeline,
     is_balanced,
     minimal_diagram,
@@ -378,3 +382,54 @@ def test_move_view_reads_as_the_tuple_of_moves():
     assert tuple(moves) == expected
     _, empty = vib(PathDiagram((), ()))
     assert len(empty.moves) == 0 and tuple(empty.moves) == ()
+
+
+def assert_inv_osweep_matches(path, schedule):
+    preimage = inv_osweep(path, schedule)
+    assert preimage == invert_pipeline(path, schedule).preimage
+    assert ref_osweep(preimage.steps, schedule) == path.steps
+    return preimage
+
+
+@pytest.mark.parametrize("text", CRITERION_3_MULTISETS)
+def test_inv_osweep_on_criterion_3_families(text):
+    spec = EnumerationSpec(StepMultiset.from_text(text), PathKind.DYCK)
+    for schedule in (*SCHEDULES, random_schedule(3)):
+        for path in enumerate_paths(spec):
+            assert_inv_osweep_matches(path, schedule)
+
+
+def test_inv_osweep_on_a_criterion_8_sample():
+    # criterion 8's incomplete families: up to 7 steps in [-4, 4], sum -1..-3
+    rng = random.Random(8)
+    domain = [
+        values
+        for n in range(1, 8)
+        for values in combinations_with_replacement(range(-4, 5), n)
+        if sum(values) in (-1, -2, -3)
+    ]
+    schedules = (*SCHEDULES, random_schedule(8))
+    inverted = 0
+    for values in rng.sample(domain, 80):
+        family = list(enumerate_paths(EnumerationSpec(StepMultiset.from_steps(values), PathKind.INCOMPLETE)))
+        for path in rng.sample(family, min(len(family), 12)):
+            assert_inv_osweep_matches(path, rng.choice(schedules))
+            inverted += 1
+    assert inverted > 400
+
+
+@pytest.mark.parametrize("max_step,sizes", [(3, (1, 5, 20, 60, 200, 600)), (300, (1, 5, 20, 40, 100))])
+def test_inv_osweep_on_random_walks(max_step, sizes):
+    rng = random.Random(f"inv_osweep/{max_step}")
+    for n in sizes:
+        for schedule in (REVERSE, IDENTITY, random_schedule(n, max_k=60)):
+            walk = random_walk(rng, n, max_step)
+            image = Path(ref_osweep(walk.steps, schedule))
+            assert assert_inv_osweep_matches(image, schedule) == walk
+
+
+@pytest.mark.parametrize("k", (100, 300, 1000, 3000, 10_000, 300_000))
+def test_inv_osweep_on_tall_shapes(k):
+    # the invert_tall benchmark's shapes and sizes
+    for steps in ((2 * k, -k, -k), (k, -1, k, -(2 * k - 1)), (k, -k)):
+        assert_inv_osweep_matches(Path(steps), REVERSE)

@@ -11,13 +11,19 @@ from sweepmap import (
     BijectionError,
     EnumerationSpec,
     FamilyCapExceeded,
+    HPathLabel,
+    HPathRound,
+    InversionResult,
     Path,
+    PathDiagram,
     PathKind,
     PreconditionError,
     StepMultiset,
+    VibTrace,
     enumerate_paths,
     family_size,
     inv_osweep,
+    invert_pipeline,
     oracle_invert,
     verify_bijection,
 )
@@ -296,3 +302,28 @@ def test_verify_maps_and_inverts_each_member_once(monkeypatch, text, kind, sched
     report = verify_bijection(spec(text, kind), schedule)
     assert report.passed and report.size == family_size(spec(text, kind)) > 1
     assert calls == dict.fromkeys(maps, report.size)
+
+
+def test_verification_builds_no_diagram_or_trace(monkeypatch):
+    # verify_bijection reads only preimages, so inv_osweep builds none of
+    # the inversion pipeline's diagrams, traces or result objects
+    built = []
+
+    def counting(cls, constructor):
+        def build(*args, **kwargs):
+            built.append(cls.__name__)
+            return constructor(*args, **kwargs)
+
+        return build
+
+    for cls in (PathDiagram, VibTrace, HPathRound, InversionResult):
+        monkeypatch.setattr(cls, "__init__", counting(cls, cls.__init__))
+    monkeypatch.setattr(HPathLabel, "__new__", counting(HPathLabel, HPathLabel.__new__))
+    invert_pipeline(Path((1, 1, -1, -1)), REVERSE).hpath_trace.labels
+    assert set(built) == {"PathDiagram", "VibTrace", "HPathRound", "HPathLabel", "InversionResult"}
+    built.clear()
+    for family in (spec("1^5,-1^5", PathKind.DYCK), spec("2,1^2,-1^3,-2", PathKind.INCOMPLETE)):
+        for schedule in (REVERSE, random_schedule(5)):
+            report = verify_bijection(family, schedule)
+            assert report.passed and report.size > 40
+    assert built == []

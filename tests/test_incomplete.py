@@ -260,10 +260,10 @@ class TestKindDecidedOnce:
         return calls
 
     def test_incomplete_inversion(self, scans):
-        # the input's kind once, then the completion in ``vib`` and the
-        # stripped suffix in ``strip``, each a new path
+        # the input's kind once, which makes the completion Dyck, then the
+        # stripped suffix in ``strip``, a check on the output
         assert inv_osweep_incomplete(Path((1, -1, -1)), REVERSE) == Path((-1, 1, -1))
-        assert len(scans) <= 3
+        assert len(scans) <= 2
 
     def test_criterion_8_member(self, scans):
         p = Path((1, -1, -1))

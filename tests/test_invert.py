@@ -17,6 +17,7 @@ from sweepmap import (
     PreconditionError,
     StepLimitExceeded,
     StepMultiset,
+    complete,
     enumerate_paths,
     hib,
     hpath,
@@ -343,6 +344,42 @@ class TestInvOsweep:
                     image = osweep(p, schedule)
                     assert inv_osweep(image, schedule) == p
                     assert osweep(inv_osweep(p, schedule), schedule) == p
+
+    @pytest.mark.parametrize("checks", sweepmap.invert.CHECK_MODES)
+    @pytest.mark.parametrize(
+        "fault,refusal",
+        [
+            ("stops before balancing", "the diagram is not balanced"),
+            ("raises the last arrow too far", "the diagram is not balanced"),
+            ("breaks the rank order", "ranks are not weakly increasing"),
+            ("lowers the first arrow below zero", "a rank is negative"),
+        ],
+    )
+    def test_faulty_balancing_is_refused(self, fig_path, monkeypatch, checks, fault, refusal):
+        # the labeling input is checked as hpath checks it, in every mode; on
+        # (0,2,-2) the level arrow keeps the order and sign faults balanced,
+        # and the labeling round would complete on them
+        balance = sweepmap.invert._balance
+
+        def faulty(steps, ranks, dyck, mode):
+            if fault == "stops before balancing":
+                return balance(steps, list(ranks), dyck, mode)
+            result = balance(steps, ranks, dyck, mode)
+            if fault == "raises the last arrow too far":
+                ranks[-1] += 1
+            elif fault == "breaks the rank order":
+                ranks[0] = ranks[-1]
+            else:
+                ranks[0] -= 1
+            return result
+
+        monkeypatch.setattr(sweepmap.invert, "_balance", faulty)
+        paths = [fig_path, Path((1, 2, -3)), complete(Path((2, -1, -1, -1)))]
+        if fault != "stops before balancing":  # (0,2,-2) starts balanced
+            paths.append(Path((0, 2, -2)))
+        for path in paths:
+            with pytest.raises(PreconditionError, match=refusal):
+                inv_osweep(path, REVERSE, checks=checks)
 
     def test_pipeline_never_restarts(self):
         rng = random.Random(60)
