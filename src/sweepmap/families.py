@@ -3,8 +3,11 @@
 These are the desk-scale tools that certify the bijection claims: enumerate
 every path of a given step multiset and kind, push the whole family through
 a map, and check injectivity, closure, and both round trips against the
-inversion pipeline.  The enumeration is lexicographic with prefix pruning, so
+inversion.  The enumeration is lexicographic with prefix pruning, so
 hopeless prefixes are abandoned as soon as the height condition fails.
+Verification runs both maps on the members' step tuples, through the
+kernels behind ``osweep`` and ``inv_osweep``, memoized by those tuples;
+the enumerator builds its one :class:`Path` per member.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from functools import cache
 from typing import Iterator
 
 from .errors import BijectionError, FamilyCapExceeded, PreconditionError
-from .invert import inv_osweep
-from .paths import Path, PathKind, StepMultiset, _require_kind
+from .invert import _inverse
+from .paths import Path, PathKind, StepMultiset, _kind_of, _require_kind
 from .schedules import PermSchedule
-from .sweep import osweep
+from .sweep import _osweep, osweep
 
 DEFAULT_CAP = 10**6
 
@@ -181,9 +184,9 @@ def verify_bijection(spec: EnumerationSpec, schedule: PermSchedule) -> Verificat
         raise PreconditionError(
             f"verification covers dyck and incomplete families, not {spec.kind.value!r}"
         )
-    forward = cache(lambda p: osweep(p, schedule))
-    backward = cache(lambda p: inv_osweep(p, schedule))
-    members = list(enumerate_paths(spec))
+    forward = cache(lambda steps: _osweep(steps, schedule))
+    backward = cache(lambda steps: _inverse(steps, _kind_of(steps), schedule, "error"))
+    members = [p.steps for p in enumerate_paths(spec)]
     family = set(members)
     images = [forward(p) for p in members]
     injective = len(set(images)) == len(members)
@@ -198,7 +201,7 @@ def verify_bijection(spec: EnumerationSpec, schedule: PermSchedule) -> Verificat
         # the first round trip fails at or before the member that repeats it.
         counterexample = next(
             (
-                p.to_text()
+                ",".join(map(str, p))
                 for p, image in zip(members, images)
                 if image not in family or backward(image) != p or forward(backward(p)) != p
             ),

@@ -11,7 +11,8 @@ path, on its completion under the lifted schedule; see :func:`invert_pipeline`):
 
 Each stage is a kernel on plain lists (``_balance``, ``_label``) that
 :func:`vib`, :func:`hpath` and :func:`invert_pipeline` wrap in diagrams and
-traces, and that :func:`inv_osweep` runs straight through, building neither.
+traces.  ``_inverse`` runs them straight through on a step tuple, building
+neither; :func:`inv_osweep` and verification call it.
 The facts their correctness proofs rely on are re-checked at runtime as they
 go.  The ``checks`` argument selects what happens when such a fact fails:
 ``"error"`` raises :class:`~sweepmap.errors.InvariantViolation`, ``"off"``
@@ -20,8 +21,8 @@ turn latent bugs into loud ones.
 
 Cost: a stage checks its input and builds its starting state in one scan of
 the columns (:func:`sweepmap.paths._scan`), most of an inversion on a short
-path; :func:`inv_osweep` scans once, as labeling starts from balancing's
-final ranks and column pointers.  The scan also yields the row count's
+path; ``_inverse`` scans once, as labeling starts from balancing's final
+ranks and column pointers.  The scan also yields the row count's
 jumps, the ones :func:`~sweepmap.paths.row_counts` and
 :func:`~sweepmap.paths.is_balanced` read: :func:`hpath` checks them for
 zero, and balancing starts from the step function they give over
@@ -44,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import InvariantViolation, PreconditionError, StepLimitExceeded
@@ -57,6 +58,7 @@ from .paths import (
     _require_kind,
     _scan,
     _step_function,
+    _strip,
     complete,
     connected_diagram,
     is_balanced,
@@ -292,12 +294,12 @@ def _balance(steps: tuple[int, ...], ranks: list[int], dyck: bool, mode: str) ->
     # The row count as a step function: count[p] holds from breakpoint p up to
     # the next one.  Breakpoints are added, never removed, and the start and
     # end height of every arrow stay among them.
-    points, counts = _step_function(jump)
-    count = dict(zip(points, counts))
+    count = _step_function(jump)
+    points = list(count)
     # Min-heap holding the start of every positive interval but the working
-    # row; starts no longer positive are dropped lazily when they reach the top.
+    # row; starts no longer positive are dropped lazily when they reach the
+    # top.  Listed in increasing order, it is a heap already.
     positive = [p for p, c in count.items() if c > 0]
-    heapify(positive)
     # increasing ranks peak at the last
     cap = _step_cap(n, ranks[-1] if n else 0, up)
     log: list[int] = []
@@ -409,11 +411,7 @@ def _balance(steps: tuple[int, ...], ranks: list[int], dyck: bool, mode: str) ->
                     heappush(positive, end)
                     row = None
 
-    _check(
-        all(c == 0 for c in count.values()),
-        mode,
-        "balancing stopped with a nonzero row count",
-    )
+    _check(not any(count.values()), mode, "balancing stopped with a nonzero row count")
     return log, rightmost
 
 
@@ -437,7 +435,8 @@ def vib(
     mode = _validate_mode(checks)
     steps = diagram.steps
     ranks = list(diagram.ranks)
-    log, _ = _balance(steps, ranks, _kind_of(steps) is PathKind.DYCK, mode)
+    kind = diagram._kind if diagram._kind is not None else _kind_of(steps)
+    log, _ = _balance(steps, ranks, kind is PathKind.DYCK, mode)
     final = PathDiagram(steps, ranks)
     return final, VibTrace(log=tuple(log), initial_ranks=diagram.ranks, final_ranks=final.ranks)
 
@@ -617,25 +616,36 @@ def inv_osweep(path: Path, schedule: PermSchedule, *, checks: str = "error") -> 
     """The preimage of ``path``, a Dyck or an incomplete Dyck path, under the
     order sweep map with ``schedule``.
 
-    The stages of :func:`invert_pipeline` with no diagram or trace built:
-    balancing hands its final ranks and column pointers straight to one
-    labeling round.  A round that completes on increasing ranks from zero
-    walks a closed path through every arrow, so the diagram was balanced.
-    Should the ranks come out of order or the round strand (neither happens
-    on valid input), the pipeline runs instead, and refuses, checks and
-    restarts as it always does.
+    The stages of :func:`invert_pipeline` on the step tuple, with no diagram
+    or trace built.  An incomplete path runs completed, as
+    ``(-sum(steps), *steps)``, under the lifted schedule, and its
+    preimage's suffix is stripped and checked.  Balancing hands its final
+    ranks and column pointers straight to one labeling round.  A round that
+    completes on increasing ranks from zero walks a closed path through
+    every arrow, so the diagram was balanced.  A kind the map does not take
+    goes to the pipeline, which refuses it; so do ranks out of order or
+    below zero and a stranded round (valid input gives neither), where the
+    pipeline checks and restarts as it always does.
     """
     mode = _validate_mode(checks)
-    _require_kind(path, "inversion", PathKind.DYCK, PathKind.INCOMPLETE)
-    dyck, lifted = (complete(path), schedule.lift()) if path.is_incomplete else (path, schedule)
-    steps = dyck.steps
-    ranks = _minimal_ranks(steps)
-    # the kind decided above makes the completion a Dyck path
-    _, rightmost = _balance(steps, ranks, True, mode)
-    order: list[int] = []
+    return Path(_inverse(path.steps, path.classify(), schedule, mode))
+
+
+def _inverse(steps: tuple[int, ...], kind: PathKind, schedule: PermSchedule, mode: str) -> tuple[int, ...]:
+    """:func:`inv_osweep` on a step tuple of kind ``kind``; it builds a
+    :class:`Path` only to hand over to the pipeline."""
+    if kind is PathKind.DYCK:
+        dyck, lifted = steps, schedule
+    elif kind is PathKind.INCOMPLETE:
+        dyck, lifted = (-sum(steps), *steps), schedule.lift()
+    else:
+        return invert_pipeline(Path(steps), schedule, checks=mode).preimage.steps
+    ranks = _minimal_ranks(dyck)
+    # the kind makes the completion a Dyck path
+    _, rightmost = _balance(dyck, ranks, True, mode)
     if ranks == sorted(ranks) and (not ranks or ranks[0] >= 0):
-        order = _label(steps, ranks, rightmost, lifted.inverse_perm(bisect_right(ranks, 0)))[0]
-    if len(order) < len(steps):
-        return invert_pipeline(path, schedule, checks=checks).preimage
-    preimage = Path(steps[j] for j in order)
-    return preimage if dyck is path else strip(preimage)
+        order = _label(dyck, ranks, rightmost, lifted.inverse_perm(bisect_right(ranks, 0)))[0]
+        if len(order) == len(dyck):
+            preimage = tuple([dyck[j] for j in order])
+            return preimage if dyck is steps else _strip(preimage)
+    return invert_pipeline(Path(steps), schedule, checks=mode).preimage.steps

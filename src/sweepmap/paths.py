@@ -151,7 +151,9 @@ def _require_kind(path: Path, op: str, *kinds: PathKind) -> None:
 def complete(path: Path) -> Path:
     """Prefix the up step that closes the height deficit, yielding a Dyck path."""
     _require_kind(path, "complete", PathKind.INCOMPLETE)
-    return Path((path.start_level, *path.steps))
+    completion = Path((path.start_level, *path.steps))
+    object.__setattr__(completion, "_kind", PathKind.DYCK)  # as completing makes it
+    return completion
 
 
 def strip(path: Path) -> Path:
@@ -160,14 +162,19 @@ def strip(path: Path) -> Path:
     The first step must be positive and the remainder must be an incomplete
     Dyck path whose deficit equals that first step.
     """
-    if len(path) == 0:
+    return Path(_strip(path.steps))
+
+
+def _strip(steps: tuple[int, ...]) -> tuple[int, ...]:
+    """:func:`strip` on a step tuple, with the same checks and messages."""
+    if not steps:
         raise PreconditionError("strip needs a nonempty path")
-    head, rest = path.steps[0], Path(path.steps[1:])
+    head, rest = steps[0], steps[1:]
     if head <= 0:
         raise PreconditionError(f"strip needs a positive first step, got {head}")
-    if not rest.is_incomplete or rest.start_level != head:
+    if _kind_of(rest) is not PathKind.INCOMPLETE or -sum(rest) != head:
         raise PreconditionError(
-            f"suffix of {path.to_text()!r} is not an incomplete Dyck path "
+            f"suffix of {','.join(map(str, steps))!r} is not an incomplete Dyck path "
             f"with deficit {head}"
         )
     return rest
@@ -188,6 +195,8 @@ class PathDiagram:
 
     steps: tuple[int, ...]
     ranks: tuple[int, ...]
+
+    _kind = None  # the steps' kind, kept from a path that had decided it; not a field
 
     def __init__(self, steps: Iterable[int], ranks: Iterable[int]) -> None:
         object.__setattr__(self, "steps", tuple(map(operator.index, steps)))
@@ -241,18 +250,18 @@ def _scan(steps: Sequence[int], ranks: Sequence[int]) -> tuple[bool, int, int, d
     return increasing, lowest_end, up, rightmost, jump
 
 
-def _step_function(jump: dict[int, int]) -> tuple[list[int], list[int]]:
-    """The sorted breakpoints of the jumps and the row count on each interval
-    ``[points[i], points[i+1])``; the count is zero below the first point
-    and from the last one on.  Two breakpoints per arrow: O(n log n) in the
-    number of arrows, whatever the step sizes."""
-    points = sorted(jump)
-    counts = []
+def _step_function(jump: dict[int, int]) -> dict[int, int]:
+    """The row count on each interval ``[p, q)`` between consecutive
+    breakpoints of the jumps, keyed by ``p`` in increasing order; the count
+    is zero below the first point and from the last one on.  Two
+    breakpoints per arrow: O(n log n) in the number of arrows, whatever the
+    step sizes."""
+    count = {}
     total = 0
-    for p in points:
+    for p in sorted(jump):
         total += jump[p]
-        counts.append(total)
-    return points, counts
+        count[p] = total
+    return count
 
 
 class RowCounts:
@@ -279,7 +288,8 @@ def row_counts(diagram: PathDiagram) -> RowCounts:
     An up arrow from height ``r`` covers rows ``r .. r+b-1``, a down arrow
     rows ``r+b .. r-1``, and a level arrow none.
     """
-    return RowCounts(*_step_function(_scan(diagram.steps, diagram.ranks)[4]))
+    count = _step_function(_scan(diagram.steps, diagram.ranks)[4])
+    return RowCounts(list(count), list(count.values()))
 
 
 def is_balanced(diagram: PathDiagram) -> bool:
@@ -297,8 +307,11 @@ def minimal_diagram(path: Path) -> PathDiagram:
     below height zero.
 
     Ranks follow ``r_1 = max(0, -b_1)`` and ``r_{i+1} = max(r_i, -b_{i+1})``.
+    The diagram keeps the path's kind if the path has decided it.
     """
-    return PathDiagram(path.steps, _minimal_ranks(path.steps))
+    diagram = PathDiagram(path.steps, _minimal_ranks(path.steps))
+    object.__setattr__(diagram, "_kind", path._kind)
+    return diagram
 
 
 def _minimal_ranks(steps: Sequence[int]) -> list[int]:

@@ -68,8 +68,12 @@ def osweep(path: Path, schedule: PermSchedule) -> Path:
     position ``j`` of that group emits ``C_{perm(j)}``; every other height
     emits right to left.
     """
-    order = _emission_order(path.steps, schedule)
-    return Path(path.steps[i] for i in order)
+    return Path(_osweep(path.steps, schedule))
+
+
+def _osweep(steps: tuple[int, ...], schedule: PermSchedule) -> tuple[int, ...]:
+    """:func:`osweep` on a step tuple."""
+    return tuple([steps[i] for i in _emission_order(steps, schedule)])
 
 
 def hib(path: Path, schedule: PermSchedule) -> PathDiagram:

@@ -3,12 +3,14 @@
 Everything here deliberately avoids the library's own code paths: row counts
 are tallied by scanning every lattice row, the sweep reference is a
 comparison sort instead of a bucket sort, and families come straight from
-``itertools.permutations``.
+``itertools.permutations``.  The reference verification keeps to the public
+:class:`Path`-level maps, with each map replaceable.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import permutations
 
 from sweepmap import (
@@ -17,7 +19,11 @@ from sweepmap import (
     PathKind,
     PermSchedule,
     PreconditionError,
+    VerificationReport,
+    enumerate_paths,
+    inv_osweep,
     minimal_diagram,
+    osweep,
     table_schedule,
 )
 
@@ -235,6 +241,49 @@ def ref_osweep(steps, schedule: PermSchedule | None = None) -> tuple[int, ...]:
         for p, value in zip(positions, perm):
             order[p] = zero_cols[value - 1]
     return tuple(steps[i] for i in order)
+
+
+def ref_verify_bijection(spec, schedule: PermSchedule, forward=osweep, backward=inv_osweep) -> VerificationReport:
+    """``verify_bijection`` on :class:`Path` objects, with the maps given as
+    Path-level functions: the report the library must reproduce field for
+    field."""
+    if spec.kind not in (PathKind.DYCK, PathKind.INCOMPLETE):
+        raise PreconditionError(
+            f"verification covers dyck and incomplete families, not {spec.kind.value!r}"
+        )
+    forward_map, backward_map = forward, backward
+    forward = cache(lambda p: forward_map(p, schedule))
+    backward = cache(lambda p: backward_map(p, schedule))
+    members = list(enumerate_paths(spec))
+    family = set(members)
+    images = [forward(p) for p in members]
+    injective = len(set(images)) == len(members)
+    closed = all(image in family for image in images)
+    roundtrip = all(backward(image) == p for p, image in zip(members, images)) and all(
+        forward(backward(p)) == p for p in members
+    )
+    passed = injective and closed and roundtrip
+    counterexample = None
+    if not passed:
+        counterexample = next(
+            (
+                p.to_text()
+                for p, image in zip(members, images)
+                if image not in family or backward(image) != p or forward(backward(p)) != p
+            ),
+            None,
+        )
+    return VerificationReport(
+        family=spec.multiset.to_text(),
+        kind=spec.kind.value,
+        size=len(members),
+        schedule=schedule.name,
+        injective=injective,
+        closed=closed,
+        roundtrip=roundtrip,
+        passed=passed,
+        counterexample=counterexample,
+    )
 
 
 def naive_family(values, kind: PathKind) -> list[tuple[int, ...]]:

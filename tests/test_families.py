@@ -1,4 +1,6 @@
+import random
 import sys
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -25,9 +27,11 @@ from sweepmap import (
     inv_osweep,
     invert_pipeline,
     oracle_invert,
+    osweep,
+    table_schedule,
     verify_bijection,
 )
-from helpers import naive_family, random_schedule
+from helpers import CRITERION_3_MULTISETS, naive_family, random_schedule, ref_verify_bijection
 
 
 def spec(text, kind, **kwargs):
@@ -206,13 +210,96 @@ class TestVerify:
         assert "size:      2" in text
 
 
+class TestVerifyMatchesReference:
+    """``verify_bijection`` on step tuples against the Path-level reference:
+    every report field equal, counterexample included."""
+
+    SCHEDULES = (REVERSE, IDENTITY, CYCLE, random_schedule(14))
+
+    @pytest.mark.parametrize("text", CRITERION_3_MULTISETS)
+    def test_criterion_3_families(self, text):
+        family = spec(text, PathKind.DYCK)
+        for schedule in self.SCHEDULES:
+            report = verify_bijection(family, schedule)
+            assert report == ref_verify_bijection(family, schedule)
+            assert report.passed
+
+    def test_criterion_8_sample(self):
+        # criterion 8's incomplete families: up to 7 steps in [-4, 4], sum -1..-3
+        rng = random.Random(14)
+        domain = [
+            values
+            for n in range(1, 8)
+            for values in combinations_with_replacement(range(-4, 5), n)
+            if sum(values) in (-1, -2, -3)
+        ]
+        for i, values in enumerate(rng.sample(domain, 80)):
+            family = EnumerationSpec(StepMultiset.from_steps(values), PathKind.INCOMPLETE)
+            schedule = self.SCHEDULES[i % len(self.SCHEDULES)]
+            report = verify_bijection(family, schedule)
+            assert report == ref_verify_bijection(family, schedule)
+            assert report.passed
+
+
+def certify_every_schedule(text):
+    """Check that the order sweep map permutes a Dyck family under every
+    schedule, and return how many permutations that took.
+
+    A member's image reads only ``perm(k)``, where ``k`` is its number of
+    height-zero arrows, so the family splits into classes by ``k``.  For
+    each class and each of the ``k!`` permutations, the class maps
+    injectively into the family, each image inverts back to its member, and
+    the first ``hpath`` round on the image reports the same ``k``.  That
+    ``k`` is read off the image alone, so the classes' images are disjoint
+    and, whatever the schedule, the map sends the finite family injectively
+    into itself: it permutes it.
+    """
+    members = list(enumerate_paths(spec(text, PathKind.DYCK)))
+    family = set(members)
+    classes = {}
+    for p in members:
+        classes.setdefault(p.connected_ranks().count(0), []).append(p)
+    tried = 0
+    for k, group in classes.items():
+        for perm in permutations(range(1, k + 1)):
+            schedule = table_schedule({k: perm}) if k else REVERSE
+            images = [osweep(p, schedule) for p in group]
+            assert len(set(images)) == len(group), (text, perm)
+            for p, image in zip(group, images):
+                assert image in family and inv_osweep(image, schedule) == p, (text, perm, p)
+                assert invert_pipeline(image, schedule).hpath_trace.rounds[0].k == k, (text, perm, p)
+            tried += 1
+    return tried
+
+
+def test_every_schedule_on_criterion_3_families():
+    assert sum(map(certify_every_schedule, CRITERION_3_MULTISETS)) > 1000
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("text", ("1^7,-1^7", "1^8,-1^8"))
+def test_every_schedule_up_to_eight_returns(text):
+    assert certify_every_schedule(text) > 5000
+
+
+# The step-tuple kernel that ``verify_bijection`` calls for each public map.
+KERNELS = {"osweep": "_osweep", "inv_osweep": "_inverse"}
+
+
 def _patched(monkeypatch, name, wrong):
-    """Replace the map ``name`` seen by ``verify_bijection``: ``wrong`` maps
-    some paths to chosen results, every other path goes to the real map."""
-    real = getattr(sweepmap, name)
+    """Break the map ``name`` where ``verify_bijection`` calls it: ``wrong``
+    maps some paths to chosen results, every other path goes to the real
+    kernel.  Returns the public map broken the same way, for the reference."""
+    kernel = KERNELS[name]
+    real = getattr(families_module, kernel)
+    wrong_steps = {p.steps: q.steps for p, q in wrong.items()}
     monkeypatch.setattr(
-        families_module, name, lambda p, schedule: wrong[p] if p in wrong else real(p, schedule)
+        families_module,
+        kernel,
+        lambda steps, *args: wrong_steps[steps] if steps in wrong_steps else real(steps, *args),
     )
+    public = getattr(sweepmap, name)
+    return lambda p, schedule: wrong[p] if p in wrong else public(p, schedule)
 
 
 class TestVerifyCatchesBrokenMaps:
@@ -220,15 +307,17 @@ class TestVerifyCatchesBrokenMaps:
     # osweep sends m0->m4, m1->m3, m2->m2, m3->m1, m4->m0.
     M = list(enumerate_paths(spec("1^3,-1^3", PathKind.DYCK)))
 
-    def verify(self):
-        return verify_bijection(spec("1^3,-1^3", PathKind.DYCK), REVERSE)
+    def verify(self, **broken):
+        # the reference sees the same broken maps and must agree field for field
+        report = verify_bijection(spec("1^3,-1^3", PathKind.DYCK), REVERSE)
+        assert report == ref_verify_bijection(spec("1^3,-1^3", PathKind.DYCK), REVERSE, **broken)
+        return report
 
     def test_wrong_preimage(self, monkeypatch):
         m = self.M
         # m1's true preimage is m3: the first round trip fails at m3, but the
         # second, forward(backward(m1)) = osweep(m2) = m2, already at m1
-        _patched(monkeypatch, "inv_osweep", {m[1]: m[2]})
-        report = self.verify()
+        report = self.verify(backward=_patched(monkeypatch, "inv_osweep", {m[1]: m[2]}))
         assert report.injective and report.closed
         assert not report.roundtrip and not report.passed
         assert report.counterexample == m[1].to_text() == "1,-1,1,1,-1,-1"
@@ -236,16 +325,14 @@ class TestVerifyCatchesBrokenMaps:
 
     def test_two_members_to_one_image(self, monkeypatch):
         m = self.M
-        _patched(monkeypatch, "osweep", {m[1]: m[4]})  # m0's image as well
-        report = self.verify()
+        report = self.verify(forward=_patched(monkeypatch, "osweep", {m[1]: m[4]}))  # m0's image as well
         assert not report.injective and report.closed
         assert not report.roundtrip and not report.passed
         assert report.counterexample == m[1].to_text()
 
     def test_image_outside_family(self, monkeypatch):
         m = self.M
-        _patched(monkeypatch, "osweep", {m[2]: Path((2, -1, -1))})
-        report = self.verify()
+        report = self.verify(forward=_patched(monkeypatch, "osweep", {m[2]: Path((2, -1, -1))}))
         assert report.injective and not report.closed
         assert not report.roundtrip and not report.passed
         assert report.counterexample == m[2].to_text() == "1,1,-1,-1,1,-1"
@@ -256,9 +343,10 @@ class TestVerifyCatchesBrokenMaps:
         outside = Path((2, -1, -1))
         # both maps agree on m1 <-> outside, so m1 round-trips; m3, whose
         # true image is m1, is the first member to fail a round trip
-        _patched(monkeypatch, "osweep", {m[1]: outside})
-        _patched(monkeypatch, "inv_osweep", {outside: m[1]})
-        report = self.verify()
+        report = self.verify(
+            forward=_patched(monkeypatch, "osweep", {m[1]: outside}),
+            backward=_patched(monkeypatch, "inv_osweep", {outside: m[1]}),
+        )
         assert report.injective and not report.closed
         assert not report.roundtrip and not report.passed
         assert report.counterexample == m[1].to_text()
@@ -266,8 +354,9 @@ class TestVerifyCatchesBrokenMaps:
     def test_incomplete_wrong_preimage(self, monkeypatch):
         # Under CYCLE the family 1^2,-1^3 is n0..n4 and n2 is its own image
         n = list(enumerate_paths(spec("1^2,-1^3", PathKind.INCOMPLETE)))
-        _patched(monkeypatch, "inv_osweep", {n[2]: n[0]})
+        backward = _patched(monkeypatch, "inv_osweep", {n[2]: n[0]})
         report = verify_bijection(spec("1^2,-1^3", PathKind.INCOMPLETE), CYCLE)
+        assert report == ref_verify_bijection(spec("1^2,-1^3", PathKind.INCOMPLETE), CYCLE, backward=backward)
         assert report.injective and report.closed
         assert not report.roundtrip and not report.passed
         assert report.counterexample == n[2].to_text() == "1,-1,-1,1,-1"
@@ -281,19 +370,19 @@ class TestVerifyCatchesBrokenMaps:
 @pytest.mark.parametrize(
     "text,kind,schedule,maps",
     [
-        ("1^4,-1^4", PathKind.DYCK, REVERSE, ("osweep", "inv_osweep")),
-        ("1^2,-1^3", PathKind.INCOMPLETE, CYCLE, ("osweep", "inv_osweep")),
+        ("1^4,-1^4", PathKind.DYCK, REVERSE, tuple(KERNELS.values())),
+        ("1^2,-1^3", PathKind.INCOMPLETE, CYCLE, tuple(KERNELS.values())),
     ],
 )
 def test_verify_maps_and_inverts_each_member_once(monkeypatch, text, kind, schedule, maps):
     calls = dict.fromkeys(maps, 0)
 
     def counted(name):
-        real = getattr(sweepmap, name)
+        real = getattr(families_module, name)
 
-        def call(p, s):
+        def call(steps, *args):
             calls[name] += 1
-            return real(p, s)
+            return real(steps, *args)
 
         return call
 
@@ -322,8 +411,11 @@ def test_verification_builds_no_diagram_or_trace(monkeypatch):
     invert_pipeline(Path((1, 1, -1, -1)), REVERSE).hpath_trace.labels
     assert set(built) == {"PathDiagram", "VibTrace", "HPathRound", "HPathLabel", "InversionResult"}
     built.clear()
+    # one Path per enumerated member and none inside the maps
+    monkeypatch.setattr(Path, "__init__", counting(Path, Path.__init__))
     for family in (spec("1^5,-1^5", PathKind.DYCK), spec("2,1^2,-1^3,-2", PathKind.INCOMPLETE)):
         for schedule in (REVERSE, random_schedule(5)):
             report = verify_bijection(family, schedule)
             assert report.passed and report.size > 40
-    assert built == []
+            assert set(built) <= {"Path"} and len(built) <= report.size + 2
+            built.clear()

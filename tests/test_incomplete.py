@@ -265,6 +265,12 @@ class TestKindDecidedOnce:
         assert inv_osweep_incomplete(Path((1, -1, -1)), REVERSE) == Path((-1, 1, -1))
         assert len(scans) <= 2
 
+    def test_incomplete_pipeline(self, scans):
+        # the input's kind, which makes the completion Dyck for ``vib`` too,
+        # then the stripped suffix in ``strip``
+        assert invert_pipeline(Path((1, -1, -1)), REVERSE).preimage == Path((-1, 1, -1))
+        assert len(scans) <= 2
+
     def test_criterion_8_member(self, scans):
         p = Path((1, -1, -1))
         assert strip(osweep(complete(p), CYCLE)) == sweep_incomplete(p)
