@@ -12,7 +12,8 @@ path, on its completion under the lifted schedule; see :func:`invert_pipeline`):
 Each stage is a kernel on plain lists (``_balance``, ``_label``) that
 :func:`vib`, :func:`hpath` and :func:`invert_pipeline` wrap in diagrams and
 traces.  ``_inverse`` runs them straight through on a step tuple, building
-neither; :func:`inv_osweep` and verification call it.
+neither; :func:`inv_osweep` and verification call it.  One checked scan,
+``_checked_scan``, refuses bad stage input for every caller.
 The facts their correctness proofs rely on are re-checked at runtime as they
 go.  The ``checks`` argument selects what happens when such a fact fails:
 ``"error"`` raises :class:`~sweepmap.errors.InvariantViolation`, ``"off"``
@@ -21,9 +22,9 @@ turn latent bugs into loud ones.
 
 Cost: a stage checks its input and builds its starting state in one scan of
 the columns (:func:`sweepmap.paths._scan`), most of an inversion on a short
-path; ``_inverse`` scans once, as labeling starts from balancing's final
-ranks and column pointers.  The scan also yields the row count's
-jumps, the ones :func:`~sweepmap.paths.row_counts` and
+path; ``_inverse`` scans once (again only to refuse), as labeling starts
+from balancing's final ranks and column pointers.  The scan also yields
+the row count's jumps, the ones :func:`~sweepmap.paths.row_counts` and
 :func:`~sweepmap.paths.is_balanced` read: :func:`hpath` checks them for
 zero, and balancing starts from the step function they give over
 breakpoints (the heights where arrows start or end).  Balancing makes its
@@ -46,7 +47,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation, PreconditionError, StepLimitExceeded
 from .paths import (
@@ -192,10 +193,6 @@ class HPathRound:
 class HPathTrace:
     rounds: tuple[HPathRound, ...]
 
-    @property
-    def labels(self) -> tuple[HPathLabel, ...]:
-        return tuple(label for rnd in self.rounds for label in rnd.labels)
-
 
 @dataclass(frozen=True)
 class InversionResult:
@@ -274,22 +271,37 @@ def _add_to_rows(
     return values
 
 
-def _balance(steps: tuple[int, ...], ranks: list[int], dyck: bool, mode: str) -> tuple[list[int], dict[int, int]]:
-    """The balancing of :func:`vib` on plain lists: check the input in one
-    scan, raise ``ranks`` in place, and return the log and the rightmost
-    column at each height (an emptied height keeps a stale pointer, -1 or a
-    column now elsewhere).  ``dyck`` says whether the steps form a Dyck path."""
+def _checked_scan(op: str, steps: tuple[int, ...], ranks: Sequence[int], dyck: bool = False) -> tuple:
+    """:func:`sweepmap.paths._scan` of the input of stage ``op``, ``"vib"``
+    (whose steps form a Dyck path if ``dyck``) or ``"hpath"``, refusing with
+    every problem the stage finds, in one order."""
+    scan = _scan(steps, ranks)
+    increasing, lowest_end, _, _, jump = scan
+    if op == "vib":
+        negative = unbalanced = False
+    else:
+        negative = bool(ranks) and (ranks[0] if increasing else min(ranks)) < 0
+        unbalanced = any(jump.values())
+        dyck = True
+    if increasing and lowest_end >= 0 and dyck and not negative and not unbalanced:
+        return scan
+    found = {
+        "ranks are not weakly increasing": not increasing,
+        "a rank is negative": negative,
+        "an arrow ends below height zero": lowest_end < 0,
+        "steps do not form a Dyck path": not dyck,
+        "the diagram is not balanced": unbalanced,
+    }
+    raise PreconditionError(f"{op} input rejected: " + "; ".join(p for p, hit in found.items() if hit))
+
+
+def _balance(steps: tuple[int, ...], ranks: list[int], scan: tuple, mode: str) -> tuple[list[int], dict[int, int]]:
+    """The balancing of :func:`vib` on plain lists, from the ranks' ``scan``:
+    raise ``ranks`` in place, and return the log and the rightmost column at
+    each height (an emptied height keeps a stale pointer, -1 or a column now
+    elsewhere).  The input is not checked here."""
     n = len(steps)
-    increasing, lowest_end, up, rightmost, jump = _scan(steps, ranks)
-    problems = []
-    if not increasing:
-        problems.append("ranks are not weakly increasing")
-    if lowest_end < 0:
-        problems.append("an arrow ends below height zero")
-    if not dyck:
-        problems.append("steps do not form a Dyck path")
-    if problems:
-        raise PreconditionError("vib input rejected: " + "; ".join(problems))
+    _, _, up, rightmost, jump = scan
 
     # The row count as a step function: count[p] holds from breakpoint p up to
     # the next one.  Breakpoints are added, never removed, and the start and
@@ -436,13 +448,13 @@ def vib(
     steps = diagram.steps
     ranks = list(diagram.ranks)
     kind = diagram._kind if diagram._kind is not None else _kind_of(steps)
-    log, _ = _balance(steps, ranks, kind is PathKind.DYCK, mode)
+    log, _ = _balance(steps, ranks, _checked_scan("vib", steps, ranks, kind is PathKind.DYCK), mode)
     final = PathDiagram(steps, ranks)
     return final, VibTrace(log=tuple(log), initial_ranks=diagram.ranks, final_ranks=final.ranks)
 
 
 def _label(
-    steps: tuple[int, ...], ranks: list[int], rightmost: dict[int, int], inverse: tuple[int, ...]
+    steps: tuple[int, ...], ranks: Sequence[int], rightmost: dict[int, int], inverse: tuple[int, ...]
 ) -> tuple[list[int], list[bool], int]:
     """One labeling round of :func:`hpath` on plain lists, whose height-zero
     columns are the first ``len(inverse)``; it consumes the ``rightmost``
@@ -500,18 +512,7 @@ def hpath(
     ranks = list(diagram.ranks)
     # The columns of one height form a contiguous block, labeled from its
     # right end, so one pointer per height tracks its rightmost unlabeled.
-    increasing, lowest_end, _, rightmost, jump = _scan(steps, ranks)
-    problems = []
-    if not increasing:
-        problems.append("ranks are not weakly increasing")
-    if n and (ranks[0] if increasing else min(ranks)) < 0:
-        problems.append("a rank is negative")
-    if lowest_end < 0:
-        problems.append("an arrow ends below height zero")
-    if any(jump.values()):
-        problems.append("the diagram is not balanced")
-    if problems:
-        raise PreconditionError("hpath input rejected: " + "; ".join(problems))
+    rightmost = _checked_scan("hpath", steps, ranks)[3]
     rounds: list[HPathRound] = []
     round_budget = sum(ranks) + 1  # every restart lowers the total rank
 
@@ -547,14 +548,13 @@ def hpath(
         for c in range(n):
             if not labeled[c]:
                 ranks[c] -= 1
-        rightmost = {r: c for c, r in enumerate(ranks)}
-        shifted = PathDiagram(steps, ranks)
-        _check(shifted.is_increasing, mode, "downshift broke the increasing order")
-        _check(is_balanced(shifted), mode, "downshift broke balance")
+        increasing, _, _, rightmost, jump = _scan(steps, ranks)
+        _check(increasing, mode, "downshift broke the increasing order")
+        _check(not any(jump.values()), mode, "downshift broke balance")
         if k > 0:
             # With height-zero arrows present the first column keeps rank 0.
             _check(ranks[0] == 0, mode, "downshift moved the first rank off zero")
-        rounds.append(HPathRound(k, tuple(order), "stuck-at-level-0", shifted, len(rounds) + 1))
+        rounds.append(HPathRound(k, tuple(order), "stuck-at-level-0", PathDiagram(steps, ranks), len(rounds) + 1))
         if len(rounds) > round_budget:
             raise InvariantViolation(
                 "labeling restarted more times than the total rank allows; "
@@ -562,19 +562,18 @@ def hpath(
             )
 
 
-def is_stable(
-    diagram: PathDiagram,
-    schedule: PermSchedule = REVERSE,
-    *,
-    checks: str = "error",
-) -> bool:
-    """True iff the labeling tour finishes in its first round.
+def is_stable(diagram: PathDiagram, schedule: PermSchedule = REVERSE) -> bool:
+    """True iff the labeling tour of :func:`hpath` finishes in its first round.
 
-    The answer is a property of the diagram alone; the schedule only reorders
-    the walk's departures from height zero.
+    The input is checked as :func:`hpath` checks it, and then one round runs,
+    with no restart and no trace: O(n) whatever the ranks.  The answer is a
+    property of the diagram alone; the schedule only reorders the walk's
+    departures from height zero.
     """
-    _, trace = hpath(diagram, schedule, checks=checks)
-    return trace.rounds[0].stop_reason == "completed"
+    steps, ranks = diagram.steps, diagram.ranks
+    rightmost = _checked_scan("hpath", steps, ranks)[3]
+    order = _label(steps, ranks, rightmost, schedule.inverse_perm(bisect_right(ranks, 0)))[0]
+    return len(order) == len(steps)
 
 
 def invert_pipeline(
@@ -622,10 +621,10 @@ def inv_osweep(path: Path, schedule: PermSchedule, *, checks: str = "error") -> 
     preimage's suffix is stripped and checked.  Balancing hands its final
     ranks and column pointers straight to one labeling round.  A round that
     completes on increasing ranks from zero walks a closed path through
-    every arrow, so the diagram was balanced.  A kind the map does not take
-    goes to the pipeline, which refuses it; so do ranks out of order or
-    below zero and a stranded round (valid input gives neither), where the
-    pipeline checks and restarts as it always does.
+    every arrow, so the diagram was balanced.  Valid input gives nothing
+    else; otherwise the balanced ranks are checked as :func:`hpath` checks
+    its input, and a stranded round on ranks that pass raises
+    :class:`~sweepmap.errors.InvariantViolation` in both check modes.
     """
     mode = _validate_mode(checks)
     return Path(_inverse(path.steps, path.classify(), schedule, mode))
@@ -633,19 +632,20 @@ def inv_osweep(path: Path, schedule: PermSchedule, *, checks: str = "error") -> 
 
 def _inverse(steps: tuple[int, ...], kind: PathKind, schedule: PermSchedule, mode: str) -> tuple[int, ...]:
     """:func:`inv_osweep` on a step tuple of kind ``kind``; it builds a
-    :class:`Path` only to hand over to the pipeline."""
-    if kind is PathKind.DYCK:
-        dyck, lifted = steps, schedule
-    elif kind is PathKind.INCOMPLETE:
-        dyck, lifted = (-sum(steps), *steps), schedule.lift()
-    else:
-        return invert_pipeline(Path(steps), schedule, checks=mode).preimage.steps
+    :class:`Path` only to refuse a kind the map does not take."""
+    dyck = steps
+    if kind is PathKind.INCOMPLETE:
+        dyck, schedule = (-sum(steps), *steps), schedule.lift()
+    elif kind is not PathKind.DYCK:
+        _require_kind(Path(steps), "inversion", PathKind.DYCK, PathKind.INCOMPLETE)
     ranks = _minimal_ranks(dyck)
-    # the kind makes the completion a Dyck path
-    _, rightmost = _balance(dyck, ranks, True, mode)
+    # minimal ranks increase and end at or above zero, and the kind makes the
+    # completion a Dyck path, so balancing's input needs no check
+    _, rightmost = _balance(dyck, ranks, _scan(dyck, ranks), mode)
     if ranks == sorted(ranks) and (not ranks or ranks[0] >= 0):
-        order = _label(dyck, ranks, rightmost, lifted.inverse_perm(bisect_right(ranks, 0)))[0]
+        order = _label(dyck, ranks, rightmost, schedule.inverse_perm(bisect_right(ranks, 0)))[0]
         if len(order) == len(dyck):
             preimage = tuple([dyck[j] for j in order])
             return preimage if dyck is steps else _strip(preimage)
-    return invert_pipeline(Path(steps), schedule, checks=mode).preimage.steps
+    _checked_scan("hpath", dyck, ranks)
+    raise InvariantViolation("balanced diagram from the minimal placement was not stable")

@@ -380,7 +380,3 @@ class StepMultiset:
     @property
     def size(self) -> int:
         return sum(m for _, m in self.entries)
-
-    @property
-    def is_balanced_type(self) -> bool:
-        return self.total == 0

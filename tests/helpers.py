@@ -13,7 +13,11 @@ import random
 from functools import cache
 from itertools import permutations
 
+import sweepmap.invert
 from sweepmap import (
+    CYCLE,
+    IDENTITY,
+    REVERSE,
     Path,
     PathDiagram,
     PathKind,
@@ -21,10 +25,13 @@ from sweepmap import (
     PreconditionError,
     VerificationReport,
     enumerate_paths,
+    hib,
+    hpath,
     inv_osweep,
     minimal_diagram,
     osweep,
     table_schedule,
+    vib,
 )
 
 
@@ -395,3 +402,30 @@ def random_ranks_between(rng: random.Random, low, high) -> tuple[int, ...]:
         ranks.append(value)
         prev = value
     return tuple(ranks)
+
+
+def stability_pool(rng: random.Random, size: int = 500) -> list[PathDiagram]:
+    """Criterion 7's diagrams: ``hib`` images and balanced positive diagrams,
+    each followed by its first downshift when its first labeling round
+    strands."""
+    pool = []
+    while len(pool) < size:
+        if rng.random() < 0.5:
+            base = hib(random_dyck_path(rng), rng.choice((REVERSE, IDENTITY, CYCLE)))
+        else:
+            base, _ = vib(random_positive_diagram(rng))
+        pool.append(base)
+        _, trace = hpath(base, REVERSE)
+        if trace.rounds[0].stop_reason != "completed" and len(pool) < size:
+            pool.append(trace.rounds[0].diagram_after)
+    return pool
+
+
+def forbid_pipeline(monkeypatch) -> None:
+    """Make the traced inversion pipeline fail the test if it is called, to
+    show that the maps under test never hand over to it."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the traced inversion pipeline was called")
+
+    monkeypatch.setattr(sweepmap.invert, "invert_pipeline", unreachable)

@@ -20,8 +20,6 @@ from sweepmap import (
     StepMultiset,
     complete,
     enumerate_paths,
-    hib,
-    hpath,
     inv_osweep,
     invert_pipeline,
     is_stable,
@@ -37,12 +35,11 @@ from sweepmap import (
 from sweepmap.cli import run
 from helpers import (
     CRITERION_3_MULTISETS,
-    random_dyck_path,
-    random_positive_diagram,
     random_ranks_between,
     random_schedule,
     rank_leq,
     row_count_delta,
+    stability_pool,
 )
 
 SEED = 20240817
@@ -227,17 +224,7 @@ def test_criterion_7_stability_claims(capsys):
                     break
 
     # (b) stability is schedule-independent on 500 seeded diagrams
-    rng = random.Random(SEED + 1)
-    pool = []
-    while len(pool) < 500:
-        if rng.random() < 0.5:
-            base = hib(random_dyck_path(rng), rng.choice((REVERSE, IDENTITY, CYCLE)))
-        else:
-            base, _ = vib(random_positive_diagram(rng))
-        pool.append(base)
-        _, trace = hpath(base, REVERSE)
-        if trace.rounds[0].stop_reason != "completed" and len(pool) < 500:
-            pool.append(trace.rounds[0].diagram_after)
+    pool = stability_pool(random.Random(SEED + 1))
     judged = {True: 0, False: 0}
     for diagram in pool:
         answers = {is_stable(diagram, s) for s in schedules_under_test()}

@@ -305,7 +305,7 @@ class TestTrace:
         path = Path((5000, -2500, -2500))
         result = invert_pipeline(path, REVERSE)
         records = [move.as_record() for move in result.vib_trace.moves]
-        records += [label.as_record() for label in result.hpath_trace.labels]
+        records += [label.as_record() for rnd in result.hpath_trace.rounds for label in rnd.labels]
         assert len(records) == 2503
         assert run(["trace", "--path", path.to_text(), "--algorithm", "invosweep", "--json"]) == 0
         assert out_of(capsys)[0] == json.dumps(records) + "\n"

@@ -35,6 +35,7 @@ from sweepmap import (
     inv_osweep,
     invert_pipeline,
     is_balanced,
+    is_stable,
     minimal_diagram,
     row_counts,
     vib,
@@ -340,7 +341,12 @@ def refusal(stage, diagram):
     )
 )
 def test_property_input_checks_match_the_predicates(diagram):
-    for stage, run in (("vib", lambda: vib(diagram)), ("hpath", lambda: hpath(diagram, REVERSE))):
+    # is_stable checks its input as hpath does, with hpath's message
+    for stage, run in (
+        ("vib", lambda: vib(diagram)),
+        ("hpath", lambda: hpath(diagram, REVERSE)),
+        ("hpath", lambda: is_stable(diagram)),
+    ):
         expected = refusal(stage, diagram)
         if expected is None:
             run()

@@ -31,7 +31,7 @@ from sweepmap import (
     table_schedule,
     verify_bijection,
 )
-from helpers import CRITERION_3_MULTISETS, naive_family, random_schedule, ref_verify_bijection
+from helpers import CRITERION_3_MULTISETS, forbid_pipeline, naive_family, random_schedule, ref_verify_bijection
 
 
 def spec(text, kind, **kwargs):
@@ -217,7 +217,10 @@ class TestVerifyMatchesReference:
     SCHEDULES = (REVERSE, IDENTITY, CYCLE, random_schedule(14))
 
     @pytest.mark.parametrize("text", CRITERION_3_MULTISETS)
-    def test_criterion_3_families(self, text):
+    def test_criterion_3_families(self, text, monkeypatch):
+        # both maps, verify_bijection's and the reference's inv_osweep, run
+        # without the traced pipeline
+        forbid_pipeline(monkeypatch)
         family = spec(text, PathKind.DYCK)
         for schedule in self.SCHEDULES:
             report = verify_bijection(family, schedule)
@@ -408,7 +411,7 @@ def test_verification_builds_no_diagram_or_trace(monkeypatch):
     for cls in (PathDiagram, VibTrace, HPathRound, InversionResult):
         monkeypatch.setattr(cls, "__init__", counting(cls, cls.__init__))
     monkeypatch.setattr(HPathLabel, "__new__", counting(HPathLabel, HPathLabel.__new__))
-    invert_pipeline(Path((1, 1, -1, -1)), REVERSE).hpath_trace.labels
+    invert_pipeline(Path((1, 1, -1, -1)), REVERSE).hpath_trace.rounds[0].labels
     assert set(built) == {"PathDiagram", "VibTrace", "HPathRound", "HPathLabel", "InversionResult"}
     built.clear()
     # one Path per enumerated member and none inside the maps

@@ -30,6 +30,7 @@ from sweepmap import (
     vib,
 )
 from helpers import (
+    forbid_pipeline,
     random_dyck_path,
     random_positive_diagram,
     random_ranks_between,
@@ -37,6 +38,7 @@ from helpers import (
     random_walk,
     rank_leq,
     ref_osweep,
+    stability_pool,
     tally_row_counts,
     vpath,
 )
@@ -194,7 +196,7 @@ class TestHPath:
         preimage, trace = hpath(d, REVERSE)
         assert preimage == Path((0, 2, 2, 1, -2, -3))
         assert len(trace.rounds) == 1
-        assert [label.column for label in trace.labels] == [2, 1, 3, 5, 6, 4]
+        assert [label.column for label in trace.rounds[0].labels] == [2, 1, 3, 5, 6, 4]
         # forward map of the result reproduces the diagram's step sequence
         assert osweep(preimage, REVERSE) == vpath(d)
 
@@ -313,6 +315,31 @@ class TestIsStable:
                     seen_unstable += 1
         assert seen_unstable > 0
 
+    def test_answers_as_the_first_hpath_round(self):
+        # criterion 7's pool under its schedules; both answers occur
+        answers = set()
+        for d in stability_pool(random.Random(20240817 + 1)):
+            for schedule in (*SCHEDULES, random_schedule(20240817, max_k=10)):
+                stable = is_stable(d, schedule)
+                assert stable == (hpath(d, schedule)[1].rounds[0].stop_reason == "completed")
+                answers.add(stable)
+        assert answers == {True, False}
+
+    def test_floating_diagrams_answer_in_one_round(self):
+        # hpath would restart about h times on each: hours at h = 10^9
+        h = 10**9
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            for d in (PathDiagram((1, -1), (h, h + 1)), PathDiagram((1, -1, 1, -1), (0, 1, h, h + 1))):
+                assert not is_stable(d)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 10 * 2**20
+
     def test_hib_images_are_stable(self):
         rng = random.Random(777)
         for _ in range(80):
@@ -356,15 +383,16 @@ class TestInvOsweep:
         ],
     )
     def test_faulty_balancing_is_refused(self, fig_path, monkeypatch, checks, fault, refusal):
-        # the labeling input is checked as hpath checks it, in every mode; on
-        # (0,2,-2) the level arrow keeps the order and sign faults balanced,
-        # and the labeling round would complete on them
+        # the labeling input is checked as hpath checks it, in every mode,
+        # without the traced pipeline; on (0,2,-2) the level arrow keeps the
+        # order and sign faults balanced, and the labeling round would
+        # complete on them
         balance = sweepmap.invert._balance
 
-        def faulty(steps, ranks, dyck, mode):
+        def faulty(steps, ranks, scan, mode):
             if fault == "stops before balancing":
-                return balance(steps, list(ranks), dyck, mode)
-            result = balance(steps, ranks, dyck, mode)
+                return balance(steps, list(ranks), scan, mode)
+            result = balance(steps, ranks, scan, mode)
             if fault == "raises the last arrow too far":
                 ranks[-1] += 1
             elif fault == "breaks the rank order":
@@ -374,12 +402,25 @@ class TestInvOsweep:
             return result
 
         monkeypatch.setattr(sweepmap.invert, "_balance", faulty)
+        forbid_pipeline(monkeypatch)
         paths = [fig_path, Path((1, 2, -3)), complete(Path((2, -1, -1, -1)))]
         if fault != "stops before balancing":  # (0,2,-2) starts balanced
             paths.append(Path((0, 2, -2)))
         for path in paths:
             with pytest.raises(PreconditionError, match=refusal):
                 inv_osweep(path, REVERSE, checks=checks)
+
+    @pytest.mark.parametrize("checks", sweepmap.invert.CHECK_MODES)
+    def test_stranded_round_is_an_invariant_violation(self, fig_path, monkeypatch, checks):
+        # valid input never strands the round after balancing; a labeling
+        # kernel that drops its last label must not make the map restart
+        label = sweepmap.invert._label
+        monkeypatch.setattr(sweepmap.invert, "_label", lambda *args: (label(*args)[0][:-1], None, None))
+        forbid_pipeline(monkeypatch)
+        for path in (fig_path, Path((2, -1, -1, -1))):
+            with pytest.raises(InvariantViolation) as stranded:
+                inv_osweep(path, REVERSE, checks=checks)
+            assert str(stranded.value) == "balanced diagram from the minimal placement was not stable"
 
     def test_pipeline_never_restarts(self):
         rng = random.Random(60)

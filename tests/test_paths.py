@@ -232,9 +232,9 @@ class TestTextForms:
 
     def test_multiset_properties(self):
         m = StepMultiset.from_text("2^2,-1^4")
-        assert m.total == 0 and m.size == 6 and m.is_balanced_type
+        assert m.total == 0 and m.size == 6
         b = StepMultiset.from_text("1,-1^2")
-        assert b.total == -1 and not b.is_balanced_type
+        assert b.total == -1
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(steps_lists)
