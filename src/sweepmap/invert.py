@@ -20,25 +20,25 @@ go.  The ``checks`` argument selects what happens when such a fact fails:
 skips the checks.  On valid input the checks can never fire; they exist to
 turn latent bugs into loud ones.
 
-Cost: a stage checks its input and builds its starting state in one scan of
-the columns (:func:`sweepmap.paths._scan`), most of an inversion on a short
-path; ``_inverse`` scans once (again only to refuse), as labeling starts
-from balancing's final ranks and column pointers.  The scan also yields
-the row count's jumps, the ones :func:`~sweepmap.paths.row_counts` and
-:func:`~sweepmap.paths.is_balanced` read: :func:`hpath` checks them for
-zero, and balancing starts from the step function they give over
-breakpoints (the heights where arrows start or end).  Balancing makes its
-unit moves in runs, raising one column over as many rows as the unit rule
-would in a row.  A run finds its column in O(1) from a pointer to the
-rightmost column at each height, and its working row is handed on from the
-move before: the heap of positive rows is read only after a multi-row run
-or once both rows a move changed are spent.  Its heap operations and
-interval splits are its only O(log n) parts, plus one step per interval a
-longer run crosses, all independent of the step magnitudes |b|; how many
-runs a path needs depends on its shape.  Each run is logged as one int (two
-for a multi-row run); a labeling round keeps its label order as ints.  The
-traces replay these into runs, unit moves and labels only when read.  A
-labeling round is O(n).
+Cost: :func:`vib` checks its input and builds its starting state in one
+scan of the columns (:func:`sweepmap.paths._scan`).  A labeling round that
+completes proves its input valid, so :func:`hpath`, :func:`is_stable` and
+``_inverse`` scan only to refuse or to restart; ``_inverse`` labels from
+balancing's final ranks and column pointers.  The scan also yields the row
+count's jumps, the ones :func:`~sweepmap.paths.row_counts` and
+:func:`~sweepmap.paths.is_balanced` read, and balancing starts from the
+step function they give over breakpoints (the heights where arrows start or
+end).  Balancing makes its unit moves in runs, raising one column over as
+many rows as the unit rule would in a row.  A run finds its column in O(1)
+from a pointer to the rightmost column at each height, and its working row
+is handed on from the move before: the heap of positive rows is read only
+after a multi-row run or once both rows a move changed are spent.  Its heap
+operations and interval splits are its only O(log n) parts, plus one step
+per interval a longer run crosses, all independent of the step magnitudes
+|b|; how many runs a path needs depends on its shape.  Each run is logged
+as one int (two for a multi-row run); a labeling round keeps its label
+order as ints.  The traces replay these into runs, unit moves and labels
+only when read.  A labeling round is O(n).
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .paths import (
     connected_diagram,
     is_balanced,
     minimal_diagram,
-    strip,
 )
 from .schedules import REVERSE, PermSchedule
 
@@ -204,6 +203,14 @@ class InversionResult:
     balanced: PathDiagram
     vib_trace: VibTrace
     hpath_trace: HPathTrace
+
+
+def _record(cls, **fields):
+    """``cls(**fields)`` for a frozen record the library built: the fresh
+    ``fields`` dict becomes its ``__dict__``, with no frozen ``__setattr__``."""
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", fields)
+    return record
 
 
 def _step_cap(n: int, top_rank: int, up: int) -> int:
@@ -449,8 +456,8 @@ def vib(
     ranks = list(diagram.ranks)
     kind = diagram._kind if diagram._kind is not None else _kind_of(steps)
     log, _ = _balance(steps, ranks, _checked_scan("vib", steps, ranks, kind is PathKind.DYCK), mode)
-    final = PathDiagram(steps, ranks)
-    return final, VibTrace(log=tuple(log), initial_ranks=diagram.ranks, final_ranks=final.ranks)
+    final = PathDiagram._trusted(steps, tuple(ranks), PathKind.DYCK)  # as the check made sure
+    return final, _record(VibTrace, log=tuple(log), initial_ranks=diagram.ranks, final_ranks=final.ranks)
 
 
 def _label(
@@ -486,6 +493,28 @@ def _label(
     return order, labeled, level
 
 
+def _first_round(
+    steps: tuple[int, ...], ranks: list[int], schedule: PermSchedule, rightmost: dict[int, int] | None = None
+) -> list[int] | None:
+    """The first labeling round's label order if it completes, else None
+    once the diagram passed :func:`hpath`'s input check, which refuses it
+    otherwise.  The round runs on steps that sum to zero and ranks that
+    weakly increase from zero or above; if it completes, it walks from zero
+    through every arrow, each starting where the last ended, back to zero,
+    so the start and end heights agree and none is below zero: the check
+    would pass.  ``rightmost`` (built if not given) holds the column
+    pointers :func:`_label` consumes."""
+    if not sum(steps) and ranks == sorted(ranks) and (not ranks or ranks[0] >= 0):
+        k = bisect_right(ranks, 0)  # the ranks increase from 0: columns 0..k-1 are at 0
+        if rightmost is None:
+            rightmost = {r: j for j, r in enumerate(ranks)}
+        order = _label(steps, ranks, rightmost, schedule.inverse_perm(k))[0]
+        if len(order) == len(steps):
+            return order
+    _checked_scan("hpath", steps, ranks)
+    return None
+
+
 def hpath(
     diagram: PathDiagram,
     schedule: PermSchedule,
@@ -510,70 +539,78 @@ def hpath(
     steps = diagram.steps
     n = len(steps)
     ranks = list(diagram.ranks)
-    # The columns of one height form a contiguous block, labeled from its
-    # right end, so one pointer per height tracks its rightmost unlabeled.
-    rightmost = _checked_scan("hpath", steps, ranks)[3]
     rounds: list[HPathRound] = []
-    round_budget = sum(ranks) + 1  # every restart lowers the total rank
+    order = _first_round(steps, ranks, schedule)
+    if order is None:
+        # Restart until a round completes.  The columns of one height form a
+        # block labeled from its right end: one pointer tracks its rightmost.
+        rightmost = {r: j for j, r in enumerate(ranks)}
+        round_budget = sum(ranks) + 1  # every restart lowers the total rank
+        while True:
+            k = bisect_right(ranks, 0)
+            order, labeled, level = _label(steps, ranks, rightmost, schedule.inverse_perm(k))
+            if len(order) == n:
+                break
 
-    while True:
-        k = bisect_right(ranks, 0)  # the ranks increase from 0: columns 0..k-1 are at 0
-        order, labeled, level = _label(steps, ranks, rightmost, schedule.inverse_perm(k))
-        if len(order) == n:
-            # A first round leaves the ranks as they came, so it keeps the input.
-            final = PathDiagram(steps, ranks) if rounds else diagram
-            rounds.append(HPathRound(k, tuple(order), "completed", final, len(rounds) + 1))
-            return Path(steps[j] for j in order), HPathTrace(rounds=tuple(rounds))
-
-        # Stuck state: everything the structure theory promises, re-checked.
-        _check(level == 0, mode, "labeling walk stranded at height %d, not zero", level)
-        _check(
-            all(labeled[:k]),
-            mode,
-            "stuck with an unlabeled height-zero arrow",
-        )
-        prefix = Path(steps[j] for j in order)
-        _check(prefix.is_dyck, mode, "labeled prefix is not a Dyck path")
-        _check(
-            is_balanced(connected_diagram(prefix)),
-            mode,
-            "labeled prefix is not balanced",
-        )
-        leftover = PathDiagram(
-            (steps[c] for c in range(n) if not labeled[c]),
-            (ranks[c] for c in range(n) if not labeled[c]),
-        )
-        _check(is_balanced(leftover), mode, "unlabeled remainder is not balanced")
-
-        for c in range(n):
-            if not labeled[c]:
-                ranks[c] -= 1
-        increasing, _, _, rightmost, jump = _scan(steps, ranks)
-        _check(increasing, mode, "downshift broke the increasing order")
-        _check(not any(jump.values()), mode, "downshift broke balance")
-        if k > 0:
-            # With height-zero arrows present the first column keeps rank 0.
-            _check(ranks[0] == 0, mode, "downshift moved the first rank off zero")
-        rounds.append(HPathRound(k, tuple(order), "stuck-at-level-0", PathDiagram(steps, ranks), len(rounds) + 1))
-        if len(rounds) > round_budget:
-            raise InvariantViolation(
-                "labeling restarted more times than the total rank allows; "
-                "this indicates an implementation bug"
+            # Stuck state: everything the structure theory promises, re-checked.
+            _check(level == 0, mode, "labeling walk stranded at height %d, not zero", level)
+            _check(
+                all(labeled[:k]),
+                mode,
+                "stuck with an unlabeled height-zero arrow",
             )
+            prefix = Path(steps[j] for j in order)
+            _check(prefix.is_dyck, mode, "labeled prefix is not a Dyck path")
+            _check(
+                is_balanced(connected_diagram(prefix)),
+                mode,
+                "labeled prefix is not balanced",
+            )
+            leftover = PathDiagram(
+                (steps[c] for c in range(n) if not labeled[c]),
+                (ranks[c] for c in range(n) if not labeled[c]),
+            )
+            _check(is_balanced(leftover), mode, "unlabeled remainder is not balanced")
+
+            for c in range(n):
+                if not labeled[c]:
+                    ranks[c] -= 1
+            increasing, _, _, rightmost, jump = _scan(steps, ranks)
+            _check(increasing, mode, "downshift broke the increasing order")
+            _check(not any(jump.values()), mode, "downshift broke balance")
+            if k > 0:
+                # With height-zero arrows present the first column keeps rank 0.
+                _check(ranks[0] == 0, mode, "downshift moved the first rank off zero")
+            after = PathDiagram._trusted(steps, tuple(ranks), diagram._kind)
+            rounds.append(_record(
+                HPathRound, k=k, order=tuple(order), stop_reason="stuck-at-level-0", diagram_after=after,
+                number=len(rounds) + 1,
+            ))
+            if len(rounds) > round_budget:
+                raise InvariantViolation(
+                    "labeling restarted more times than the total rank allows; "
+                    "this indicates an implementation bug"
+                )
+
+    # A first round leaves the ranks as they came, so it keeps the input.
+    final = PathDiagram._trusted(steps, tuple(ranks), diagram._kind) if rounds else diagram
+    k = bisect_right(ranks, 0)
+    rounds.append(_record(
+        HPathRound, k=k, order=tuple(order), stop_reason="completed", diagram_after=final, number=len(rounds) + 1
+    ))
+    return Path._trusted(tuple([steps[j] for j in order])), _record(HPathTrace, rounds=tuple(rounds))
 
 
 def is_stable(diagram: PathDiagram, schedule: PermSchedule = REVERSE) -> bool:
     """True iff the labeling tour of :func:`hpath` finishes in its first round.
 
-    The input is checked as :func:`hpath` checks it, and then one round runs,
-    with no restart and no trace: O(n) whatever the ranks.  The answer is a
+    One round runs, with no restart and no trace, and the input is checked
+    as :func:`hpath` checks it unless the round completes, which proves it
+    valid: O(n) whatever the ranks.  The answer is a
     property of the diagram alone; the schedule only reorders the walk's
     departures from height zero.
     """
-    steps, ranks = diagram.steps, diagram.ranks
-    rightmost = _checked_scan("hpath", steps, ranks)[3]
-    order = _label(steps, ranks, rightmost, schedule.inverse_perm(bisect_right(ranks, 0)))[0]
-    return len(order) == len(steps)
+    return _first_round(diagram.steps, list(diagram.ranks), schedule) is not None
 
 
 def invert_pipeline(
@@ -592,7 +629,7 @@ def invert_pipeline(
     mode = _validate_mode(checks)
     _require_kind(path, "inversion", PathKind.DYCK, PathKind.INCOMPLETE)
     dyck = path
-    if path.is_incomplete:
+    if path._kind is PathKind.INCOMPLETE:  # as _require_kind decided it
         dyck, schedule = complete(path), schedule.lift()
     minimal = minimal_diagram(dyck)
     balanced, vib_trace = vib(minimal, checks=checks)
@@ -602,8 +639,9 @@ def invert_pipeline(
         mode,
         "balanced diagram from the minimal placement was not stable",
     )
-    return InversionResult(
-        preimage=preimage if dyck is path else strip(preimage),
+    return _record(
+        InversionResult,
+        preimage=preimage if dyck is path else Path._trusted(_strip(preimage.steps)),
         minimal=minimal,
         balanced=balanced,
         vib_trace=vib_trace,
@@ -627,7 +665,7 @@ def inv_osweep(path: Path, schedule: PermSchedule, *, checks: str = "error") -> 
     :class:`~sweepmap.errors.InvariantViolation` in both check modes.
     """
     mode = _validate_mode(checks)
-    return Path(_inverse(path.steps, path.classify(), schedule, mode))
+    return Path._trusted(_inverse(path.steps, path.classify(), schedule, mode))
 
 
 def _inverse(steps: tuple[int, ...], kind: PathKind, schedule: PermSchedule, mode: str) -> tuple[int, ...]:
@@ -642,10 +680,8 @@ def _inverse(steps: tuple[int, ...], kind: PathKind, schedule: PermSchedule, mod
     # minimal ranks increase and end at or above zero, and the kind makes the
     # completion a Dyck path, so balancing's input needs no check
     _, rightmost = _balance(dyck, ranks, _scan(dyck, ranks), mode)
-    if ranks == sorted(ranks) and (not ranks or ranks[0] >= 0):
-        order = _label(dyck, ranks, rightmost, schedule.inverse_perm(bisect_right(ranks, 0)))[0]
-        if len(order) == len(dyck):
-            preimage = tuple([dyck[j] for j in order])
-            return preimage if dyck is steps else _strip(preimage)
-    _checked_scan("hpath", dyck, ranks)
+    order = _first_round(dyck, ranks, schedule, rightmost)
+    if order is not None:
+        preimage = tuple([dyck[j] for j in order])
+        return preimage if dyck is steps else _strip(preimage)
     raise InvariantViolation("balanced diagram from the minimal placement was not stable")

@@ -78,6 +78,13 @@ class Path:
     def __init__(self, steps: Iterable[int] = ()) -> None:
         object.__setattr__(self, "steps", tuple(map(operator.index, steps)))
 
+    @classmethod
+    def _trusted(cls, steps: tuple[int, ...], kind: PathKind | None = None) -> "Path":
+        """A path on an int tuple the library built, of ``kind`` if known, taken as is."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "__dict__", {"steps": steps, "_kind": kind})
+        return path
+
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -151,9 +158,7 @@ def _require_kind(path: Path, op: str, *kinds: PathKind) -> None:
 def complete(path: Path) -> Path:
     """Prefix the up step that closes the height deficit, yielding a Dyck path."""
     _require_kind(path, "complete", PathKind.INCOMPLETE)
-    completion = Path((path.start_level, *path.steps))
-    object.__setattr__(completion, "_kind", PathKind.DYCK)  # as completing makes it
-    return completion
+    return Path._trusted((path.start_level, *path.steps), PathKind.DYCK)  # as completing makes it
 
 
 def strip(path: Path) -> Path:
@@ -206,6 +211,13 @@ class PathDiagram:
                 f"diagram needs one rank per step: {len(self.steps)} steps, "
                 f"{len(self.ranks)} ranks"
             )
+
+    @classmethod
+    def _trusted(cls, steps: tuple[int, ...], ranks: tuple[int, ...], kind: PathKind | None = None) -> "PathDiagram":
+        """A diagram on int tuples of one length the library built, of ``kind`` if known, taken as is."""
+        diagram = object.__new__(cls)
+        object.__setattr__(diagram, "__dict__", {"steps": steps, "ranks": ranks, "_kind": kind})
+        return diagram
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -309,9 +321,7 @@ def minimal_diagram(path: Path) -> PathDiagram:
     Ranks follow ``r_1 = max(0, -b_1)`` and ``r_{i+1} = max(r_i, -b_{i+1})``.
     The diagram keeps the path's kind if the path has decided it.
     """
-    diagram = PathDiagram(path.steps, _minimal_ranks(path.steps))
-    object.__setattr__(diagram, "_kind", path._kind)
-    return diagram
+    return PathDiagram._trusted(path.steps, tuple(_minimal_ranks(path.steps)), path._kind)
 
 
 def _minimal_ranks(steps: Sequence[int]) -> list[int]:

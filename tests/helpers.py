@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import sweepmap.invert
 from sweepmap import (
@@ -47,6 +47,15 @@ CRITERION_3_MULTISETS = (
     "2,1,0,-1,-2",
     "2^2,0^2,-1^4",
     "1^4,-2^2",
+)
+
+# The step multisets of acceptance criterion 8's incomplete families, as
+# sorted value tuples: up to 7 steps in [-4, 4] that sum to -1, -2 or -3.
+CRITERION_8_MULTISETS = tuple(
+    values
+    for n in range(1, 8)
+    for values in combinations_with_replacement(range(-4, 5), n)
+    if sum(values) in (-1, -2, -3)
 )
 
 

@@ -12,7 +12,6 @@ the reference forward map takes back to its input.
 import gc
 import random
 import weakref
-from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +41,7 @@ from sweepmap import (
 )
 from helpers import (
     CRITERION_3_MULTISETS,
+    CRITERION_8_MULTISETS,
     least_balanced_ranks,
     random_dyck_path,
     random_positive_diagram,
@@ -51,6 +51,7 @@ from helpers import (
     ref_osweep,
     ref_vib,
     spiked_walk,
+    stability_pool,
     tally_row_counts,
 )
 
@@ -356,6 +357,19 @@ def test_property_input_checks_match_the_predicates(diagram):
             assert str(refused.value) == expected
 
 
+def test_hpath_and_is_stable_on_the_stability_pool():
+    # criterion 7's pool holds stranded first rounds, which take hpath past
+    # its first-round shortcut to the checked scan and the restarts
+    stranded = 0
+    for d in stability_pool(random.Random(16)):
+        for schedule in (REVERSE, IDENTITY, random_schedule(16, max_k=10)):
+            assert_hpath_matches(d, schedule)
+            first = ref_hpath(d.steps, d.ranks, schedule)[1][0]
+            assert is_stable(d, schedule) == (first[2] == "completed")
+            stranded += first[2] != "completed"
+    assert stranded > 0
+
+
 @pytest.mark.parametrize("k", (2, 3, 5, 37, 1000))
 def test_tall_shapes(k):
     # long runs on one column: (2K,-K,-K) balances in one run of K moves,
@@ -406,17 +420,10 @@ def test_inv_osweep_on_criterion_3_families(text):
 
 
 def test_inv_osweep_on_a_criterion_8_sample():
-    # criterion 8's incomplete families: up to 7 steps in [-4, 4], sum -1..-3
     rng = random.Random(8)
-    domain = [
-        values
-        for n in range(1, 8)
-        for values in combinations_with_replacement(range(-4, 5), n)
-        if sum(values) in (-1, -2, -3)
-    ]
     schedules = (*SCHEDULES, random_schedule(8))
     inverted = 0
-    for values in rng.sample(domain, 80):
+    for values in rng.sample(CRITERION_8_MULTISETS, 80):
         family = list(enumerate_paths(EnumerationSpec(StepMultiset.from_steps(values), PathKind.INCOMPLETE)))
         for path in rng.sample(family, min(len(family), 12)):
             assert_inv_osweep_matches(path, rng.choice(schedules))

@@ -1,6 +1,6 @@
 import random
 import sys
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
 import pytest
 
@@ -31,7 +31,14 @@ from sweepmap import (
     table_schedule,
     verify_bijection,
 )
-from helpers import CRITERION_3_MULTISETS, forbid_pipeline, naive_family, random_schedule, ref_verify_bijection
+from helpers import (
+    CRITERION_3_MULTISETS,
+    CRITERION_8_MULTISETS,
+    forbid_pipeline,
+    naive_family,
+    random_schedule,
+    ref_verify_bijection,
+)
 
 
 def spec(text, kind, **kwargs):
@@ -228,15 +235,8 @@ class TestVerifyMatchesReference:
             assert report.passed
 
     def test_criterion_8_sample(self):
-        # criterion 8's incomplete families: up to 7 steps in [-4, 4], sum -1..-3
         rng = random.Random(14)
-        domain = [
-            values
-            for n in range(1, 8)
-            for values in combinations_with_replacement(range(-4, 5), n)
-            if sum(values) in (-1, -2, -3)
-        ]
-        for i, values in enumerate(rng.sample(domain, 80)):
+        for i, values in enumerate(rng.sample(CRITERION_8_MULTISETS, 80)):
             family = EnumerationSpec(StepMultiset.from_steps(values), PathKind.INCOMPLETE)
             schedule = self.SCHEDULES[i % len(self.SCHEDULES)]
             report = verify_bijection(family, schedule)
@@ -244,21 +244,25 @@ class TestVerifyMatchesReference:
             assert report.passed
 
 
-def certify_every_schedule(text):
-    """Check that the order sweep map permutes a Dyck family under every
-    schedule, and return how many permutations that took.
+def certify_every_schedule(family):
+    """Check that the order sweep map permutes a Dyck or incomplete
+    ``family`` under every schedule, and return how many permutations that
+    took.
 
     A member's image reads only ``perm(k)``, where ``k`` is its number of
     height-zero arrows, so the family splits into classes by ``k``.  For
     each class and each of the ``k!`` permutations, the class maps
     injectively into the family, each image inverts back to its member, and
-    the first ``hpath`` round on the image reports the same ``k``.  That
-    ``k`` is read off the image alone, so the classes' images are disjoint
-    and, whatever the schedule, the map sends the finite family injectively
-    into itself: it permutes it.
+    the first ``hpath`` round on the image reports the same ``k`` (one more
+    for an incomplete family: the inversion runs on the completion, whose
+    added arrow joins the height-zero group).  That ``k`` is read off the
+    image alone, so the classes' images are disjoint and, whatever the
+    schedule, the map sends the finite family injectively into itself: it
+    permutes it.
     """
-    members = list(enumerate_paths(spec(text, PathKind.DYCK)))
-    family = set(members)
+    members = list(enumerate_paths(family))
+    added = family.kind is PathKind.INCOMPLETE
+    members_set = set(members)
     classes = {}
     for p in members:
         classes.setdefault(p.connected_ranks().count(0), []).append(p)
@@ -267,22 +271,30 @@ def certify_every_schedule(text):
         for perm in permutations(range(1, k + 1)):
             schedule = table_schedule({k: perm}) if k else REVERSE
             images = [osweep(p, schedule) for p in group]
-            assert len(set(images)) == len(group), (text, perm)
+            assert len(set(images)) == len(group), (family, perm)
             for p, image in zip(group, images):
-                assert image in family and inv_osweep(image, schedule) == p, (text, perm, p)
-                assert invert_pipeline(image, schedule).hpath_trace.rounds[0].k == k, (text, perm, p)
+                assert image in members_set and inv_osweep(image, schedule) == p, (family, perm, p)
+                assert invert_pipeline(image, schedule).hpath_trace.rounds[0].k == k + added, (family, perm, p)
             tried += 1
     return tried
 
 
 def test_every_schedule_on_criterion_3_families():
-    assert sum(map(certify_every_schedule, CRITERION_3_MULTISETS)) > 1000
+    assert sum(certify_every_schedule(spec(text, PathKind.DYCK)) for text in CRITERION_3_MULTISETS) > 1000
+
+
+def test_every_schedule_on_a_criterion_8_sample():
+    families = [
+        EnumerationSpec(StepMultiset.from_steps(values), PathKind.INCOMPLETE)
+        for values in random.Random(16).sample(CRITERION_8_MULTISETS, 40)
+    ]
+    assert sum(map(certify_every_schedule, families)) > 1000
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("text", ("1^7,-1^7", "1^8,-1^8"))
 def test_every_schedule_up_to_eight_returns(text):
-    assert certify_every_schedule(text) > 5000
+    assert certify_every_schedule(spec(text, PathKind.DYCK)) > 5000
 
 
 # The step-tuple kernel that ``verify_bijection`` calls for each public map.
@@ -398,24 +410,31 @@ def test_verify_maps_and_inverts_each_member_once(monkeypatch, text, kind, sched
 
 def test_verification_builds_no_diagram_or_trace(monkeypatch):
     # verify_bijection reads only preimages, so inv_osweep builds none of
-    # the inversion pipeline's diagrams, traces or result objects
+    # the inversion pipeline's diagrams, traces or result objects, by any
+    # constructor: ``__init__``, the trusted ``_trusted`` of paths and
+    # diagrams, or the records' ``sweepmap.invert._record``
     built = []
 
-    def counting(cls, constructor):
+    def counting(name, constructor):
         def build(*args, **kwargs):
-            built.append(cls.__name__)
+            built.append(name(*args))
             return constructor(*args, **kwargs)
 
         return build
 
-    for cls in (PathDiagram, VibTrace, HPathRound, InversionResult):
-        monkeypatch.setattr(cls, "__init__", counting(cls, cls.__init__))
-    monkeypatch.setattr(HPathLabel, "__new__", counting(HPathLabel, HPathLabel.__new__))
-    invert_pipeline(Path((1, 1, -1, -1)), REVERSE).hpath_trace.rounds[0].labels
-    assert set(built) == {"PathDiagram", "VibTrace", "HPathRound", "HPathLabel", "InversionResult"}
-    built.clear()
+    for cls in (Path, PathDiagram, VibTrace, HPathRound, InversionResult):
+        monkeypatch.setattr(cls, "__init__", counting(lambda self, *_: type(self).__name__, cls.__init__))
+    for cls in (Path, PathDiagram):
+        trusted = counting(lambda *_, cls=cls: cls.__name__, cls._trusted)
+        monkeypatch.setattr(cls, "_trusted", staticmethod(trusted))
+    monkeypatch.setattr(sweepmap.invert, "_record", counting(lambda cls: cls.__name__, sweepmap.invert._record))
+    monkeypatch.setattr(HPathLabel, "__new__", counting(lambda cls, *_: cls.__name__, HPathLabel.__new__))
+    for path in (Path((1, 1, -1, -1)), Path((1, -1, -1))):
+        invert_pipeline(path, REVERSE).hpath_trace.rounds[0].labels
+        records = {"VibTrace", "HPathRound", "HPathTrace", "HPathLabel", "InversionResult"}
+        assert set(built) == {"Path", "PathDiagram"} | records
+        built.clear()
     # one Path per enumerated member and none inside the maps
-    monkeypatch.setattr(Path, "__init__", counting(Path, Path.__init__))
     for family in (spec("1^5,-1^5", PathKind.DYCK), spec("2,1^2,-1^3,-2", PathKind.INCOMPLETE)):
         for schedule in (REVERSE, random_schedule(5)):
             report = verify_bijection(family, schedule)

@@ -190,6 +190,46 @@ class TestTightness:
                     assert final.ranks == high.ranks
 
 
+# Bad labeling inputs and the problems the input check names for each, in
+# its order.  A first labeling round completes on none of them, whether its
+# cheap tests (steps summing to zero, ranks in order from zero) pass or not.
+BAD_LABELING_INPUTS = [
+    ((1, 1, -1, -1), (0, 1, 2, 1), "ranks are not weakly increasing"),
+    ((-1, 1), (1, 0), "ranks are not weakly increasing"),
+    ((2, -1, -1), (-1, 0, 1), "a rank is negative; an arrow ends below height zero"),
+    ((0,), (-1,), "a rank is negative; an arrow ends below height zero"),
+    ((1, -1), (-1, 1), "a rank is negative; the diagram is not balanced"),
+    ((-1, 1), (0, 0), "an arrow ends below height zero; the diagram is not balanced"),
+    ((1, -1), (0, 0), "an arrow ends below height zero; the diagram is not balanced"),
+    ((1,), (0,), "the diagram is not balanced"),
+    ((-1,), (1,), "the diagram is not balanced"),
+    ((1, -1), (0, 2), "the diagram is not balanced"),
+    ((2, -1, -1), (0, 1, 1), "the diagram is not balanced"),
+    ((1, 1, -1, -1), (0, 1, 1, 3), "the diagram is not balanced"),
+    ((1, -1, 1, -1), (0, 1, 2, 2), "the diagram is not balanced"),
+    (
+        (-2, 1),
+        (1, -1),
+        "ranks are not weakly increasing; a rank is negative; "
+        "an arrow ends below height zero; the diagram is not balanced",
+    ),
+    (
+        (1, -1),
+        (1, 0),
+        "ranks are not weakly increasing; an arrow ends below height zero; the diagram is not balanced",
+    ),
+]
+
+
+@pytest.mark.parametrize("steps,ranks,problems", BAD_LABELING_INPUTS)
+def test_labeling_refusals_name_every_problem(steps, ranks, problems):
+    for schedule in SCHEDULES:
+        for run in (hpath, is_stable):
+            with pytest.raises(PreconditionError) as refused:
+                run(PathDiagram(steps, ranks), schedule)
+            assert str(refused.value) == "hpath input rejected: " + problems
+
+
 class TestHPath:
     def test_worked_example(self, fig_path):
         d = PathDiagram(fig_path.steps, (0, 0, 2, 3, 4, 5))
@@ -421,6 +461,25 @@ class TestInvOsweep:
             with pytest.raises(InvariantViolation) as stranded:
                 inv_osweep(path, REVERSE, checks=checks)
             assert str(stranded.value) == "balanced diagram from the minimal placement was not stable"
+
+    def test_pipeline_calls_each_stage_once(self, fig_path, monkeypatch):
+        # the benchmark's tracer wraps vib and hpath by name, and reads their
+        # moves and rounds only if the pipeline calls them
+        calls = []
+
+        def counting(name, stage):
+            def run(*args, **kwargs):
+                calls.append(name)
+                return stage(*args, **kwargs)
+
+            return run
+
+        for name in ("vib", "hpath"):
+            monkeypatch.setattr(sweepmap.invert, name, counting(name, getattr(sweepmap.invert, name)))
+        for path in (fig_path, Path((2, -1, -1, -1))):
+            invert_pipeline(path, REVERSE)
+            assert sorted(calls) == ["hpath", "vib"]
+            calls.clear()
 
     def test_pipeline_never_restarts(self):
         rng = random.Random(60)
