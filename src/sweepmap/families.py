@@ -185,7 +185,7 @@ def verify_bijection(spec: EnumerationSpec, schedule: PermSchedule) -> Verificat
             f"verification covers dyck and incomplete families, not {spec.kind.value!r}"
         )
     forward = cache(lambda steps: _osweep(steps, schedule))
-    backward = cache(lambda steps: _inverse(steps, _kind_of(steps), schedule, "error"))
+    backward = cache(lambda steps: _inverse(steps, _kind_of(steps), schedule))
     members = [p.steps for p in enumerate_paths(spec)]
     family = set(members)
     images = [forward(p) for p in members]

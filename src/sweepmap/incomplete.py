@@ -32,9 +32,7 @@ def osweep_incomplete(path: Path, schedule: PermSchedule) -> Path:
     return osweep(path, schedule)
 
 
-def inv_osweep_incomplete(
-    path: Path, schedule: PermSchedule, *, checks: str = "error"
-) -> Path:
+def inv_osweep_incomplete(path: Path, schedule: PermSchedule) -> Path:
     """Preimage of ``path`` under :func:`osweep_incomplete` with ``schedule``."""
     _require_kind(path, "inv_osweep_incomplete", PathKind.INCOMPLETE)
-    return inv_osweep(path, schedule, checks=checks)
+    return inv_osweep(path, schedule)

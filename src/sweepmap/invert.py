@@ -15,10 +15,9 @@ traces.  ``_inverse`` runs them straight through on a step tuple, building
 neither; :func:`inv_osweep` and verification call it.  One checked scan,
 ``_checked_scan``, refuses bad stage input for every caller.
 The facts their correctness proofs rely on are re-checked at runtime as they
-go.  The ``checks`` argument selects what happens when such a fact fails:
-``"error"`` raises :class:`~sweepmap.errors.InvariantViolation`, ``"off"``
-skips the checks.  On valid input the checks can never fire; they exist to
-turn latent bugs into loud ones.
+go, always: a fact that fails raises
+:class:`~sweepmap.errors.InvariantViolation`.  On valid input the checks can
+never fire; they exist to turn latent bugs into loud ones.
 
 Cost: :func:`vib` checks its input and builds its starting state in one
 scan of the columns (:func:`sweepmap.paths._scan`).  A labeling round that
@@ -67,19 +66,10 @@ from .paths import (
 )
 from .schedules import REVERSE, PermSchedule
 
-CHECK_MODES = ("error", "off")
-
-
-def _check(condition: bool, mode: str, message: str, *args) -> None:
+def _check(condition: bool, message: str, *args) -> None:
     """Raise unless ``condition`` holds; ``message % args`` is built only then."""
-    if not condition and mode != "off":
+    if not condition:
         raise InvariantViolation(message % args)
-
-
-def _validate_mode(mode: str) -> str:
-    if mode not in CHECK_MODES:
-        raise PreconditionError(f"checks must be one of {CHECK_MODES}, got {mode!r}")
-    return mode
 
 
 class VibMove(NamedTuple):
@@ -302,7 +292,7 @@ def _checked_scan(op: str, steps: tuple[int, ...], ranks: Sequence[int], dyck: b
     raise PreconditionError(f"{op} input rejected: " + "; ".join(p for p, hit in found.items() if hit))
 
 
-def _balance(steps: tuple[int, ...], ranks: list[int], scan: tuple, mode: str) -> tuple[list[int], dict[int, int]]:
+def _balance(steps: tuple[int, ...], ranks: list[int], scan: tuple) -> tuple[list[int], dict[int, int]]:
     """The balancing of :func:`vib` on plain lists, from the ranks' ``scan``:
     raise ``ranks`` in place, and return the log and the rightmost column at
     each height (an emptied height keeps a stale pointer, -1 or a column now
@@ -340,8 +330,7 @@ def _balance(steps: tuple[int, ...], ranks: list[int], scan: tuple, mode: str) -
         column = rightmost.get(row, -1)
         if column < 0 or ranks[column] != row:
             # Provably impossible while a positive row exists (a stale
-            # pointer is never read then); the loop cannot continue, so this
-            # is a hard error in every mode.
+            # pointer is never read then); the loop cannot continue.
             raise InvariantViolation(
                 f"no arrow starts at working row {row}; diagram state is corrupt"
             )
@@ -373,15 +362,14 @@ def _balance(steps: tuple[int, ...], ranks: list[int], scan: tuple, mode: str) -
         rightmost[row] = column - 1
         if column == last or ranks[column + 1] != top:
             rightmost[top] = column
-            if column != last and ranks[column + 1] < top and mode != "off":
+            if column != last and ranks[column + 1] < top:
                 raise InvariantViolation(f"raising column {column + 1} broke the weakly increasing order")
         if length > 1:
             lowered = _add_to_rows(points, count, positive, row, top, -1)
             raised = _add_to_rows(points, count, positive, row + b, top + b, 1)
-            _check(min(lowered) >= 0, mode, "run on column %d took a row count below zero", column + 1)
+            _check(min(lowered) >= 0, "run on column %d took a row count below zero", column + 1)
             _check(
                 b > 0 or max(raised) <= 0,
-                mode,
                 "run on column %d made a row below its working rows positive",
                 column + 1,
             )
@@ -430,15 +418,11 @@ def _balance(steps: tuple[int, ...], ranks: list[int], scan: tuple, mode: str) -
                     heappush(positive, end)
                     row = None
 
-    _check(not any(count.values()), mode, "balancing stopped with a nonzero row count")
+    _check(not any(count.values()), "balancing stopped with a nonzero row count")
     return log, rightmost
 
 
-def vib(
-    diagram: PathDiagram,
-    *,
-    checks: str = "error",
-) -> tuple[PathDiagram, VibTrace]:
+def vib(diagram: PathDiagram) -> tuple[PathDiagram, VibTrace]:
     """Raise arrows until the diagram balances.
 
     Repeatedly: take the lowest row with positive count, take the rightmost
@@ -451,11 +435,10 @@ def vib(
     row after row, is made at once as one run.  The safety cap
     (:func:`_step_cap`) still counts unit moves.
     """
-    mode = _validate_mode(checks)
     steps = diagram.steps
     ranks = list(diagram.ranks)
     kind = diagram._kind if diagram._kind is not None else _kind_of(steps)
-    log, _ = _balance(steps, ranks, _checked_scan("vib", steps, ranks, kind is PathKind.DYCK), mode)
+    log, _ = _balance(steps, ranks, _checked_scan("vib", steps, ranks, kind is PathKind.DYCK))
     final = PathDiagram._trusted(steps, tuple(ranks), PathKind.DYCK)  # as the check made sure
     return final, _record(VibTrace, log=tuple(log), initial_ranks=diagram.ranks, final_ranks=final.ranks)
 
@@ -495,32 +478,29 @@ def _label(
 
 def _first_round(
     steps: tuple[int, ...], ranks: list[int], schedule: PermSchedule, rightmost: dict[int, int] | None = None
-) -> list[int] | None:
-    """The first labeling round's label order if it completes, else None
-    once the diagram passed :func:`hpath`'s input check, which refuses it
-    otherwise.  The round runs on steps that sum to zero and ranks that
-    weakly increase from zero or above; if it completes, it walks from zero
-    through every arrow, each starting where the last ended, back to zero,
-    so the start and end heights agree and none is below zero: the check
-    would pass.  ``rightmost`` (built if not given) holds the column
-    pointers :func:`_label` consumes."""
+) -> tuple[list[int], list[bool], int]:
+    """The first labeling round, as :func:`_label` returns it, once the
+    diagram passed :func:`hpath`'s input check, which refuses it otherwise.
+    The round runs on steps that sum to zero and ranks that weakly increase
+    from zero or above; if it completes, it walks from zero through every
+    arrow, each starting where the last ended, back to zero, so the start
+    and end heights agree and none is below zero: the check would pass.
+    ``rightmost`` (built if not given) holds the column pointers
+    :func:`_label` consumes."""
     if not sum(steps) and ranks == sorted(ranks) and (not ranks or ranks[0] >= 0):
         k = bisect_right(ranks, 0)  # the ranks increase from 0: columns 0..k-1 are at 0
         if rightmost is None:
             rightmost = {r: j for j, r in enumerate(ranks)}
-        order = _label(steps, ranks, rightmost, schedule.inverse_perm(k))[0]
-        if len(order) == len(steps):
-            return order
+        labeling = _label(steps, ranks, rightmost, schedule.inverse_perm(k))
+        if len(labeling[0]) == len(steps):
+            return labeling
+    # steps that do not sum to zero leave a row count nonzero, so input that
+    # skipped the round is always refused here
     _checked_scan("hpath", steps, ranks)
-    return None
+    return labeling
 
 
-def hpath(
-    diagram: PathDiagram,
-    schedule: PermSchedule,
-    *,
-    checks: str = "error",
-) -> tuple[Path, HPathTrace]:
+def hpath(diagram: PathDiagram, schedule: PermSchedule) -> tuple[Path, HPathTrace]:
     """Reconstruct the order-sweep preimage of a balanced increasing diagram.
 
     Each round walks the diagram from height zero: at height zero the next
@@ -535,66 +515,58 @@ def hpath(
     Returns the preimage (columns read in label order) plus the full trace.
     The order sweep of the result equals the diagram's step sequence.
     """
-    mode = _validate_mode(checks)
     steps = diagram.steps
     n = len(steps)
     ranks = list(diagram.ranks)
     rounds: list[HPathRound] = []
-    order = _first_round(steps, ranks, schedule)
-    if order is None:
-        # Restart until a round completes.  The columns of one height form a
-        # block labeled from its right end: one pointer tracks its rightmost.
-        rightmost = {r: j for j, r in enumerate(ranks)}
-        round_budget = sum(ranks) + 1  # every restart lowers the total rank
-        while True:
-            k = bisect_right(ranks, 0)
-            order, labeled, level = _label(steps, ranks, rightmost, schedule.inverse_perm(k))
-            if len(order) == n:
-                break
+    order, labeled, level = _first_round(steps, ranks, schedule)
+    k = bisect_right(ranks, 0)
+    round_budget = sum(ranks) + 1  # every restart lowers the total rank
+    # Restart until a round completes.  The columns of one height form a
+    # block labeled from its right end: one pointer tracks its rightmost.
+    while len(order) < n:
+        # Stuck state: everything the structure theory promises, re-checked.
+        _check(level == 0, "labeling walk stranded at height %d, not zero", level)
+        _check(
+            all(labeled[:k]),
+            "stuck with an unlabeled height-zero arrow",
+        )
+        prefix = Path(steps[j] for j in order)
+        _check(prefix.is_dyck, "labeled prefix is not a Dyck path")
+        _check(
+            is_balanced(connected_diagram(prefix)),
+            "labeled prefix is not balanced",
+        )
+        leftover = PathDiagram(
+            (steps[c] for c in range(n) if not labeled[c]),
+            (ranks[c] for c in range(n) if not labeled[c]),
+        )
+        _check(is_balanced(leftover), "unlabeled remainder is not balanced")
 
-            # Stuck state: everything the structure theory promises, re-checked.
-            _check(level == 0, mode, "labeling walk stranded at height %d, not zero", level)
-            _check(
-                all(labeled[:k]),
-                mode,
-                "stuck with an unlabeled height-zero arrow",
+        for c in range(n):
+            if not labeled[c]:
+                ranks[c] -= 1
+        increasing, _, _, rightmost, jump = _scan(steps, ranks)
+        _check(increasing, "downshift broke the increasing order")
+        _check(not any(jump.values()), "downshift broke balance")
+        if k > 0:
+            # With height-zero arrows present the first column keeps rank 0.
+            _check(ranks[0] == 0, "downshift moved the first rank off zero")
+        after = PathDiagram._trusted(steps, tuple(ranks), diagram._kind)
+        rounds.append(_record(
+            HPathRound, k=k, order=tuple(order), stop_reason="stuck-at-level-0", diagram_after=after,
+            number=len(rounds) + 1,
+        ))
+        if len(rounds) > round_budget:
+            raise InvariantViolation(
+                "labeling restarted more times than the total rank allows; "
+                "this indicates an implementation bug"
             )
-            prefix = Path(steps[j] for j in order)
-            _check(prefix.is_dyck, mode, "labeled prefix is not a Dyck path")
-            _check(
-                is_balanced(connected_diagram(prefix)),
-                mode,
-                "labeled prefix is not balanced",
-            )
-            leftover = PathDiagram(
-                (steps[c] for c in range(n) if not labeled[c]),
-                (ranks[c] for c in range(n) if not labeled[c]),
-            )
-            _check(is_balanced(leftover), mode, "unlabeled remainder is not balanced")
-
-            for c in range(n):
-                if not labeled[c]:
-                    ranks[c] -= 1
-            increasing, _, _, rightmost, jump = _scan(steps, ranks)
-            _check(increasing, mode, "downshift broke the increasing order")
-            _check(not any(jump.values()), mode, "downshift broke balance")
-            if k > 0:
-                # With height-zero arrows present the first column keeps rank 0.
-                _check(ranks[0] == 0, mode, "downshift moved the first rank off zero")
-            after = PathDiagram._trusted(steps, tuple(ranks), diagram._kind)
-            rounds.append(_record(
-                HPathRound, k=k, order=tuple(order), stop_reason="stuck-at-level-0", diagram_after=after,
-                number=len(rounds) + 1,
-            ))
-            if len(rounds) > round_budget:
-                raise InvariantViolation(
-                    "labeling restarted more times than the total rank allows; "
-                    "this indicates an implementation bug"
-                )
+        k = bisect_right(ranks, 0)
+        order, labeled, level = _label(steps, ranks, rightmost, schedule.inverse_perm(k))
 
     # A first round leaves the ranks as they came, so it keeps the input.
     final = PathDiagram._trusted(steps, tuple(ranks), diagram._kind) if rounds else diagram
-    k = bisect_right(ranks, 0)
     rounds.append(_record(
         HPathRound, k=k, order=tuple(order), stop_reason="completed", diagram_after=final, number=len(rounds) + 1
     ))
@@ -610,7 +582,7 @@ def is_stable(diagram: PathDiagram, schedule: PermSchedule = REVERSE) -> bool:
     property of the diagram alone; the schedule only reorders the walk's
     departures from height zero.
     """
-    return _first_round(diagram.steps, list(diagram.ranks), schedule) is not None
+    return len(_first_round(diagram.steps, list(diagram.ranks), schedule)[0]) == len(diagram.steps)
 
 
 def invert_pipeline(
@@ -624,19 +596,20 @@ def invert_pipeline(
     Takes a Dyck or an incomplete Dyck path; an incomplete one runs on its
     completion under ``schedule.lift()`` and its preimage is stripped.  The
     balanced diagram reached from the minimal placement is always stable, so
-    the labeling never restarts; that claim is itself checked.
+    the labeling never restarts; that claim is itself checked.  The
+    invariant checks always run, and ``checks`` takes only ``"error"``.
     """
-    mode = _validate_mode(checks)
+    if checks != "error":
+        raise PreconditionError(f"checks must be 'error', got {checks!r}")
     _require_kind(path, "inversion", PathKind.DYCK, PathKind.INCOMPLETE)
     dyck = path
     if path._kind is PathKind.INCOMPLETE:  # as _require_kind decided it
         dyck, schedule = complete(path), schedule.lift()
     minimal = minimal_diagram(dyck)
-    balanced, vib_trace = vib(minimal, checks=checks)
-    preimage, hpath_trace = hpath(balanced, schedule, checks=checks)
+    balanced, vib_trace = vib(minimal)
+    preimage, hpath_trace = hpath(balanced, schedule)
     _check(
         len(hpath_trace.rounds) == 1,
-        mode,
         "balanced diagram from the minimal placement was not stable",
     )
     return _record(
@@ -649,7 +622,7 @@ def invert_pipeline(
     )
 
 
-def inv_osweep(path: Path, schedule: PermSchedule, *, checks: str = "error") -> Path:
+def inv_osweep(path: Path, schedule: PermSchedule) -> Path:
     """The preimage of ``path``, a Dyck or an incomplete Dyck path, under the
     order sweep map with ``schedule``.
 
@@ -662,13 +635,12 @@ def inv_osweep(path: Path, schedule: PermSchedule, *, checks: str = "error") -> 
     every arrow, so the diagram was balanced.  Valid input gives nothing
     else; otherwise the balanced ranks are checked as :func:`hpath` checks
     its input, and a stranded round on ranks that pass raises
-    :class:`~sweepmap.errors.InvariantViolation` in both check modes.
+    :class:`~sweepmap.errors.InvariantViolation`.
     """
-    mode = _validate_mode(checks)
-    return Path._trusted(_inverse(path.steps, path.classify(), schedule, mode))
+    return Path._trusted(_inverse(path.steps, path.classify(), schedule))
 
 
-def _inverse(steps: tuple[int, ...], kind: PathKind, schedule: PermSchedule, mode: str) -> tuple[int, ...]:
+def _inverse(steps: tuple[int, ...], kind: PathKind, schedule: PermSchedule) -> tuple[int, ...]:
     """:func:`inv_osweep` on a step tuple of kind ``kind``; it builds a
     :class:`Path` only to refuse a kind the map does not take."""
     dyck = steps
@@ -679,9 +651,9 @@ def _inverse(steps: tuple[int, ...], kind: PathKind, schedule: PermSchedule, mod
     ranks = _minimal_ranks(dyck)
     # minimal ranks increase and end at or above zero, and the kind makes the
     # completion a Dyck path, so balancing's input needs no check
-    _, rightmost = _balance(dyck, ranks, _scan(dyck, ranks), mode)
-    order = _first_round(dyck, ranks, schedule, rightmost)
-    if order is not None:
+    _, rightmost = _balance(dyck, ranks, _scan(dyck, ranks))
+    order = _first_round(dyck, ranks, schedule, rightmost)[0]
+    if len(order) == len(dyck):
         preimage = tuple([dyck[j] for j in order])
         return preimage if dyck is steps else _strip(preimage)
     raise InvariantViolation("balanced diagram from the minimal placement was not stable")

@@ -291,15 +291,6 @@ def test_balancing_reaches_the_least_fixed_point_at_scale(max_step, sizes):
         assert_least_fixed_point(random_walk(rng, n, max_step))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.one_of(positive_diagrams(), positive_diagrams(max_step=60, max_size=10)))
-def test_property_checks_off_balances_the_same(diagram):
-    balanced, trace = vib(diagram, checks="off")
-    checked, checked_trace = vib(diagram, checks="error")
-    assert balanced == checked
-    assert trace.runs == checked_trace.runs and trace.final_ranks == checked_trace.final_ranks
-
-
 @st.composite
 def damaged_diagrams(draw):
     """A valid balancing or labeling input with up to three steps or ranks

@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 import tracemalloc
@@ -22,6 +23,7 @@ from sweepmap import (
     hib,
     hpath,
     inv_osweep,
+    inv_osweep_incomplete,
     invert_pipeline,
     is_balanced,
     is_stable,
@@ -153,17 +155,6 @@ class TestVib:
         assert balanced.ranks == (0, 8, 16, 23, 27, 27, 28, 29)
         assert len(trace.moves) == 129
 
-    def test_checks_off_still_computes(self, fig_path):
-        start = PathDiagram(fig_path.steps, (0, 0, 0, 3, 3, 3))
-        balanced, _ = vib(start, checks="off")
-        assert balanced.ranks == (0, 0, 2, 3, 4, 5)
-
-    def test_invalid_checks_mode(self, fig_path):
-        with pytest.raises(PreconditionError):
-            vib(minimal_diagram(fig_path), checks="loud")
-        with pytest.raises(PreconditionError):
-            vib(minimal_diagram(fig_path), checks="panic")
-
 
 class TestRankLeq:
     def test_examples(self):
@@ -274,6 +265,22 @@ class TestHPath:
         assert trace.rounds[0].diagram_after.ranks == (0, 0, 1, 1)
         assert preimage == Path((1, -1, 1, -1))
         assert osweep(preimage, REVERSE) == vpath(d)
+
+    def test_labels_each_round_once(self, monkeypatch):
+        # a stranded first round is the restart loop's first round too
+        calls = []
+        label = sweepmap.invert._label
+
+        def counting(*args):
+            calls.append(None)
+            return label(*args)
+
+        monkeypatch.setattr(sweepmap.invert, "_label", counting)
+        h = 50
+        for d in (PathDiagram((1, 1, -1, -1), (0, 1, 1, 2)), PathDiagram((1, -1, 1, -1), (0, 1, h, h + 1))):
+            calls.clear()
+            rounds = hpath(d, REVERSE)[1].rounds
+            assert len(rounds) > 1 and len(calls) == len(rounds)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(PreconditionError, match="balanced"):
@@ -412,7 +419,6 @@ class TestInvOsweep:
                     assert inv_osweep(image, schedule) == p
                     assert osweep(inv_osweep(p, schedule), schedule) == p
 
-    @pytest.mark.parametrize("checks", sweepmap.invert.CHECK_MODES)
     @pytest.mark.parametrize(
         "fault,refusal",
         [
@@ -422,17 +428,16 @@ class TestInvOsweep:
             ("lowers the first arrow below zero", "a rank is negative"),
         ],
     )
-    def test_faulty_balancing_is_refused(self, fig_path, monkeypatch, checks, fault, refusal):
-        # the labeling input is checked as hpath checks it, in every mode,
-        # without the traced pipeline; on (0,2,-2) the level arrow keeps the
-        # order and sign faults balanced, and the labeling round would
-        # complete on them
+    def test_faulty_balancing_is_refused(self, fig_path, monkeypatch, fault, refusal):
+        # the labeling input is checked as hpath checks it, without the
+        # traced pipeline; on (0,2,-2) the level arrow keeps the order and
+        # sign faults balanced, and the labeling round would complete on them
         balance = sweepmap.invert._balance
 
-        def faulty(steps, ranks, scan, mode):
+        def faulty(steps, ranks, scan):
             if fault == "stops before balancing":
-                return balance(steps, list(ranks), scan, mode)
-            result = balance(steps, ranks, scan, mode)
+                return balance(steps, list(ranks), scan)
+            result = balance(steps, ranks, scan)
             if fault == "raises the last arrow too far":
                 ranks[-1] += 1
             elif fault == "breaks the rank order":
@@ -448,10 +453,9 @@ class TestInvOsweep:
             paths.append(Path((0, 2, -2)))
         for path in paths:
             with pytest.raises(PreconditionError, match=refusal):
-                inv_osweep(path, REVERSE, checks=checks)
+                inv_osweep(path, REVERSE)
 
-    @pytest.mark.parametrize("checks", sweepmap.invert.CHECK_MODES)
-    def test_stranded_round_is_an_invariant_violation(self, fig_path, monkeypatch, checks):
+    def test_stranded_round_is_an_invariant_violation(self, fig_path, monkeypatch):
         # valid input never strands the round after balancing; a labeling
         # kernel that drops its last label must not make the map restart
         label = sweepmap.invert._label
@@ -459,7 +463,7 @@ class TestInvOsweep:
         forbid_pipeline(monkeypatch)
         for path in (fig_path, Path((2, -1, -1, -1))):
             with pytest.raises(InvariantViolation) as stranded:
-                inv_osweep(path, REVERSE, checks=checks)
+                inv_osweep(path, REVERSE)
             assert str(stranded.value) == "balanced diagram from the minimal placement was not stable"
 
     def test_pipeline_calls_each_stage_once(self, fig_path, monkeypatch):
@@ -480,6 +484,14 @@ class TestInvOsweep:
             invert_pipeline(path, REVERSE)
             assert sorted(calls) == ["hpath", "vib"]
             calls.clear()
+
+    def test_invariant_checks_cannot_be_turned_off(self, fig_path):
+        # the pipeline keeps its keyword with one value; no other entry has it
+        for checks in ("off", "loud"):
+            with pytest.raises(PreconditionError):
+                invert_pipeline(fig_path, REVERSE, checks=checks)
+        for entry in (vib, hpath, inv_osweep, inv_osweep_incomplete):
+            assert "checks" not in inspect.signature(entry).parameters
 
     def test_pipeline_never_restarts(self):
         rng = random.Random(60)
