@@ -266,7 +266,10 @@ class TestHPath:
         assert preimage == Path((1, -1, 1, -1))
         assert osweep(preimage, REVERSE) == vpath(d)
 
-    def test_labels_each_round_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "steps,ranks", [((1, 1, -1, -1), (0, 1, 1, 2)), ((1, -1, 1, -1), (0, 1, 50, 51))], ids=["two-rounds", "h=50"]
+    )
+    def test_labels_each_round_once(self, monkeypatch, steps, ranks):
         # a stranded first round is the restart loop's first round too
         calls = []
         label = sweepmap.invert._label
@@ -276,11 +279,8 @@ class TestHPath:
             return label(*args)
 
         monkeypatch.setattr(sweepmap.invert, "_label", counting)
-        h = 50
-        for d in (PathDiagram((1, 1, -1, -1), (0, 1, 1, 2)), PathDiagram((1, -1, 1, -1), (0, 1, h, h + 1))):
-            calls.clear()
-            rounds = hpath(d, REVERSE)[1].rounds
-            assert len(rounds) > 1 and len(calls) == len(rounds)
+        rounds = hpath(PathDiagram(steps, ranks), REVERSE)[1].rounds
+        assert len(rounds) > 1 and len(calls) == len(rounds)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(PreconditionError, match="balanced"):
@@ -455,16 +455,16 @@ class TestInvOsweep:
             with pytest.raises(PreconditionError, match=refusal):
                 inv_osweep(path, REVERSE)
 
-    def test_stranded_round_is_an_invariant_violation(self, fig_path, monkeypatch):
+    @pytest.mark.parametrize("steps", [(2, 0, 2, -3, 1, -2), (2, -1, -1, -1)])
+    def test_stranded_round_is_an_invariant_violation(self, monkeypatch, steps):
         # valid input never strands the round after balancing; a labeling
         # kernel that drops its last label must not make the map restart
         label = sweepmap.invert._label
         monkeypatch.setattr(sweepmap.invert, "_label", lambda *args: (label(*args)[0][:-1], None, None))
         forbid_pipeline(monkeypatch)
-        for path in (fig_path, Path((2, -1, -1, -1))):
-            with pytest.raises(InvariantViolation) as stranded:
-                inv_osweep(path, REVERSE)
-            assert str(stranded.value) == "balanced diagram from the minimal placement was not stable"
+        with pytest.raises(InvariantViolation) as stranded:
+            inv_osweep(Path(steps), REVERSE)
+        assert str(stranded.value) == "balanced diagram from the minimal placement was not stable"
 
     def test_pipeline_calls_each_stage_once(self, fig_path, monkeypatch):
         # the benchmark's tracer wraps vib and hpath by name, and reads their
@@ -485,13 +485,15 @@ class TestInvOsweep:
             assert sorted(calls) == ["hpath", "vib"]
             calls.clear()
 
-    def test_invariant_checks_cannot_be_turned_off(self, fig_path):
-        # the pipeline keeps its keyword with one value; no other entry has it
-        for checks in ("off", "loud"):
-            with pytest.raises(PreconditionError):
-                invert_pipeline(fig_path, REVERSE, checks=checks)
-        for entry in (vib, hpath, inv_osweep, inv_osweep_incomplete):
-            assert "checks" not in inspect.signature(entry).parameters
+    @pytest.mark.parametrize("checks", ["off", "loud", "panic"])
+    def test_invariant_checks_cannot_be_turned_off(self, fig_path, checks):
+        # the pipeline keeps its keyword with one value
+        with pytest.raises(PreconditionError):
+            invert_pipeline(fig_path, REVERSE, checks=checks)
+
+    @pytest.mark.parametrize("entry", [vib, hpath, inv_osweep, inv_osweep_incomplete], ids=lambda f: f.__name__)
+    def test_no_other_entry_has_a_checks_keyword(self, entry):
+        assert "checks" not in inspect.signature(entry).parameters
 
     def test_pipeline_never_restarts(self):
         rng = random.Random(60)
