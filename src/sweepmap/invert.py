@@ -22,22 +22,30 @@ never fire; they exist to turn latent bugs into loud ones.
 Cost: :func:`vib` checks its input and builds its starting state in one
 scan of the columns (:func:`sweepmap.paths._scan`).  A labeling round that
 completes proves its input valid, so :func:`hpath`, :func:`is_stable` and
-``_inverse`` scan only to refuse or to restart; ``_inverse`` labels from
-balancing's final ranks and column pointers.  The scan also yields the row
-count's jumps, the ones :func:`~sweepmap.paths.row_counts` and
-:func:`~sweepmap.paths.is_balanced` read, and balancing starts from the
-step function they give over breakpoints (the heights where arrows start or
-end).  Balancing makes its unit moves in runs, raising one column over as
+``_inverse`` scan only to refuse, to restart or to balance on a tall
+diagram; ``_inverse`` labels from balancing's final ranks and column
+pointers.  The scan also yields the row count's jumps, the ones
+:func:`~sweepmap.paths.row_counts` and :func:`~sweepmap.paths.is_balanced`
+read.  Balancing makes its unit moves in runs, raising one column over as
 many rows as the unit rule would in a row.  A run finds its column in O(1)
 from a pointer to the rightmost column at each height, and its working row
-is handed on from the move before: the heap of positive rows is read only
-after a multi-row run or once both rows a move changed are spent.  Its heap
-operations and interval splits are its only O(log n) parts, plus one step
-per interval a longer run crosses, all independent of the step magnitudes
-|b|; how many runs a path needs depends on its shape.  Each run is logged
-as one int (two for a multi-row run); a labeling round keeps its label
-order as ints.  The traces replay these into runs, unit moves and labels
-only when read.  A labeling round is O(n).
+is handed on from the move before.  The rows balancing can touch reach from
+the lowest start less the largest down step to the top rank plus the up
+steps and the largest up step.  When they span at most ``2n + 64``, as on
+paths with small steps, the row counts and pointers are lists indexed by
+height, and a spent working row hands the search for the next one on
+upward: a move is a few list reads and writes, and the search steps over
+the rows of count at most zero between one working row and the next.
+``_inverse`` builds those lists straight from the columns, with no scan.
+Otherwise balancing starts from the step function the jumps give over
+breakpoints (the heights where arrows start or end), and reads a heap of
+positive rows only after a multi-row run or once both rows a move changed
+are spent.  Its heap operations and interval splits are its only O(log n)
+parts, plus one step per interval a longer run crosses, all independent of
+the step magnitudes |b|; how many runs a path needs depends on its shape.
+Each run is logged as one int (two for a multi-row run); a labeling round
+keeps its label order as ints.  The traces replay these into runs, unit
+moves and labels only when read.  A labeling round is O(n).
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation, PreconditionError, StepLimitExceeded
@@ -292,13 +301,164 @@ def _checked_scan(op: str, steps: tuple[int, ...], ranks: Sequence[int], dyck: b
     raise PreconditionError(f"{op} input rejected: " + "; ".join(p for p, hit in found.items() if hit))
 
 
-def _balance(steps: tuple[int, ...], ranks: list[int], scan: tuple) -> tuple[list[int], dict[int, int]]:
-    """The balancing of :func:`vib` on plain lists, from the ranks' ``scan``:
-    raise ``ranks`` in place, and return the log and the rightmost column at
-    each height (an emptied height keeps a stale pointer, -1 or a column now
-    elsewhere).  The input is not checked here."""
+def _balance(
+    steps: tuple[int, ...], ranks: list[int], scan: tuple | None
+) -> tuple[list[int], dict[int, int]]:
+    """The balancing of :func:`vib` on plain lists: raise ``ranks`` in place,
+    and return the log and the rightmost column at each height the final
+    ranks hold (at other heights a pointer may be stale: -1 or a column now
+    elsewhere).  ``scan`` is the ranks' :func:`_scan`, or None for a Dyck
+    path's steps on ranks from zero up with no arrow ending below zero.  The
+    input is not checked here.
+
+    The rows balancing touches lie between the lowest start less the
+    largest down step and the top rank plus the up steps (a bound on the
+    final top rank, as :func:`_step_cap` argues) plus the largest up step.
+    A span of at most ``2n + 64`` rows runs on lists indexed by height
+    (:func:`_balance_rows`), the faster there; a taller one on the step
+    function (:func:`_balance_steps`), whose time and memory do not grow
+    with the step magnitudes.  Both make the same moves, log and checks.
+    """
     n = len(steps)
-    _, _, up, rightmost, jump = scan
+    if scan is None:
+        # steps that sum to zero climb by half their total magnitude
+        up = sum(map(abs, steps)) >> 1
+    else:
+        up = scan[2]
+    top = ranks[-1] if n else 0  # increasing ranks peak at the last
+    cap = _step_cap(n, top, up)
+    widest = 2 * n + 64
+    # the span is at least the up steps, so a tall diagram leaves at once
+    if n and up <= widest:
+        # The lowest row is the first rank or an arrow's end.  An end lies
+        # at or above the first rank less the largest down step, and at or
+        # above zero unless the scan found a lower one (and without a scan
+        # no start or end is below zero).
+        lo = 0 if scan is None else min(ranks[0], max(scan[1], ranks[0] + min(steps)))
+        hi = top + up + max(steps)
+        if hi - lo <= widest:
+            return _balance_rows(steps, ranks, cap, lo, hi - lo + 2)
+    if scan is None:
+        scan = _scan(steps, ranks)
+    return _balance_steps(steps, ranks, scan[3], scan[4], cap)
+
+
+def _balance_rows(
+    steps: tuple[int, ...], ranks: list[int], cap: int, lo: int, size: int
+) -> tuple[list[int], dict[int, int]]:
+    """:func:`_balance` with the row counts and column pointers in lists of
+    ``size`` slots, built from the columns: slot ``i`` holds height
+    ``lo + i``, and the ranks are shifted by ``-lo`` meanwhile.  The last
+    slot's count is a sentinel 1 that ends the upward search for the
+    working row."""
+    if lo:
+        ranks[:] = [r - lo for r in ranks]
+    count = [0] * size
+    rightmost = [-1] * size
+    for column, (b, r) in enumerate(zip(steps, ranks)):
+        rightmost[r] = column
+        if b:
+            count[r] += 1
+            count[r + b] -= 1
+    count = list(accumulate(count))
+    sentinel = size - 1
+    count[sentinel] = 1
+    log: list[int] = []
+    append = log.append
+    last = len(steps) - 1
+    moved = 0
+    # The working row is the lowest positive row, so no row below it is
+    # positive: when it is spent, the next one is found by scanning up.
+    row = 0
+    value = None
+
+    while True:
+        if value is None:
+            while count[row] <= 0:
+                row += 1
+            if row == sentinel:
+                break
+            value = count[row]
+        column = rightmost[row]
+        if column < 0 or ranks[column] != row:
+            raise InvariantViolation(
+                f"no arrow starts at working row {row + lo}; diagram state is corrupt"
+            )
+        b = steps[column]
+        top = row + 1
+        # the run rule of :func:`_run_length`, row by row
+        if value == 1 and (b > 1 or b < -1) and count[top] == 1 and (b > 0 or count[row + b] < 0):
+            limit = b if b > 0 else -b
+            if column < last:
+                limit = min(limit, ranks[column + 1] - row)
+            stop = row + limit
+            while top < stop and count[top] == 1:
+                top += 1
+            if b < 0:
+                end = stop = row + b
+                stop += top - row
+                while end < stop and count[end] < 0:
+                    end += 1
+                top = end - b
+        moved += top - row
+        if moved > cap:
+            raise StepLimitExceeded(
+                f"balancing exceeded its safety cap of {cap} moves; "
+                f"this indicates an implementation bug"
+            )
+        ranks[column] = top
+        rightmost[row] = column - 1
+        if column == last or ranks[column + 1] != top:
+            rightmost[top] = column
+            if column != last and ranks[column + 1] < top:
+                raise InvariantViolation(f"raising column {column + 1} broke the weakly increasing order")
+        if top > row + 1:
+            count[row:top] = lowered = [c - 1 for c in count[row:top]]
+            count[row + b:top + b] = raised = [c + 1 for c in count[row + b:top + b]]
+            _check(min(lowered) >= 0, "run on column %d took a row count below zero", column + 1)
+            _check(
+                b > 0 or max(raised) <= 0,
+                "run on column %d made a row below its working rows positive",
+                column + 1,
+            )
+            append(~column)
+            append(top + lo)
+            # every row below the run's top is now at most 0
+            row = top
+            value = None
+        else:
+            append(column)
+            if b:
+                value -= 1
+                count[row] = value
+                end = row + b
+                end_value = count[end]
+                count[end] = end_value + 1
+                # A down arrow's end that turns positive lies below the
+                # working row and takes its place; a spent row hands the
+                # search on upward.
+                if not end_value and b < 0:
+                    row = end
+                    value = 1
+                elif not value:
+                    row += 1
+                    value = None
+
+    count[sentinel] = 0
+    _check(not any(count), "balancing stopped with a nonzero row count")
+    pointers = list(map(rightmost.__getitem__, ranks))
+    if lo:
+        ranks[:] = [r + lo for r in ranks]
+    return log, dict(zip(ranks, pointers))
+
+
+def _balance_steps(
+    steps: tuple[int, ...], ranks: list[int], rightmost: dict[int, int], jump: dict[int, int], cap: int
+) -> tuple[list[int], dict[int, int]]:
+    """:func:`_balance` on the row count as a step function over
+    breakpoints, from the scan's ``rightmost`` pointers and ``jump``
+    dictionary: time and memory independent of the step magnitudes."""
+    n = len(steps)
 
     # The row count as a step function: count[p] holds from breakpoint p up to
     # the next one.  Breakpoints are added, never removed, and the start and
@@ -309,8 +469,6 @@ def _balance(steps: tuple[int, ...], ranks: list[int], scan: tuple) -> tuple[lis
     # row; starts no longer positive are dropped lazily when they reach the
     # top.  Listed in increasing order, it is a heap already.
     positive = [p for p, c in count.items() if c > 0]
-    # increasing ranks peak at the last
-    cap = _step_cap(n, ranks[-1] if n else 0, up)
     log: list[int] = []
     append = log.append
     last = n - 1
@@ -649,9 +807,10 @@ def _inverse(steps: tuple[int, ...], kind: PathKind, schedule: PermSchedule) -> 
     elif kind is not PathKind.DYCK:
         _require_kind(Path(steps), "inversion", PathKind.DYCK, PathKind.INCOMPLETE)
     ranks = _minimal_ranks(dyck)
-    # minimal ranks increase and end at or above zero, and the kind makes the
-    # completion a Dyck path, so balancing's input needs no check
-    _, rightmost = _balance(dyck, ranks, _scan(dyck, ranks))
+    # minimal ranks increase from zero up and end at or above zero, and the
+    # kind makes the completion a Dyck path, so balancing's input needs no
+    # check, and no scan unless the diagram is tall
+    _, rightmost = _balance(dyck, ranks, None)
     order = _first_round(dyck, ranks, schedule, rightmost)[0]
     if len(order) == len(dyck):
         preimage = tuple([dyck[j] for j in order])

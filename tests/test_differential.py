@@ -39,6 +39,8 @@ from sweepmap import (
     row_counts,
     vib,
 )
+from sweepmap.invert import _balance_rows, _balance_steps, _step_cap
+from sweepmap.paths import _scan
 from helpers import (
     CRITERION_3_MULTISETS,
     CRITERION_8_MULTISETS,
@@ -176,19 +178,19 @@ def refilled_heights(diagram, runs):
     return refilled
 
 
-@pytest.mark.parametrize(
-    "steps,ranks,heights",
-    [
-        # column 3 empties height 1, then column 2 climbs into it
-        ((2, 2, -1, -3), (0, 0, 1, 3), [1]),
-        # column 4 passes through height 2 and leaves it empty; column 3 follows
-        ((3, -1, -1, -1), (0, 1, 1, 1), [2]),
-        # the two-column block at height 1 empties right to left
-        ((2, 2, -1, 1, -3, -1), (0, 0, 1, 1, 3, 3), [1]),
-        # heights 3, 4 and 5 each empty and take a column again
-        ((1, 2, -2, 3, -3, -1), (0, 0, 2, 2, 3, 3), [4, 3, 5]),
-    ],
-)
+EMPTIED_BLOCKS = [
+    # column 3 empties height 1, then column 2 climbs into it
+    ((2, 2, -1, -3), (0, 0, 1, 3), [1]),
+    # column 4 passes through height 2 and leaves it empty; column 3 follows
+    ((3, -1, -1, -1), (0, 1, 1, 1), [2]),
+    # the two-column block at height 1 empties right to left
+    ((2, 2, -1, 1, -3, -1), (0, 0, 1, 1, 3, 3), [1]),
+    # heights 3, 4 and 5 each empty and take a column again
+    ((1, 2, -2, 3, -3, -1), (0, 0, 2, 2, 3, 3), [4, 3, 5]),
+]
+
+
+@pytest.mark.parametrize("steps,ranks,heights", EMPTIED_BLOCKS)
 def test_block_end_map_survives_an_emptied_block(steps, ranks, heights):
     # the rightmost column at a height is looked up from a per-height
     # pointer, which an emptied block leaves stale until a column arrives there
@@ -198,37 +200,106 @@ def test_block_end_map_survives_an_emptied_block(steps, ranks, heights):
     assert_vib_matches(diagram)
 
 
+HAND_OFFS = [
+    # down landing: column 4 lands on row 1 while the working row 2 keeps
+    # a count of 2, so row 1 is worked next and row 2 waits on the heap
+    (
+        (2, 1, 1, -1, -3),
+        (0, 0, 1, 2, 6),
+        ((2, 0, 1), (1, 0, 1), (3, 1, 2), (2, 1, 2), (4, 2, 3), (1, 1, 2), (3, 2, 3),
+         (2, 2, 3), (4, 3, 4), (1, 2, 3), (3, 3, 4), (4, 4, 5), (2, 3, 4), (3, 4, 5)),
+    ),
+    # level arrow: column 2 leaves row 0, which stays the working row
+    ((1, 0, -1), (0, 0, 2), ((2, 0, 1), (1, 0, 1))),
+    # up landing below the heap top: row 0 empties, row 1 turns positive
+    # and the heap holds only row 2, so row 1 is worked next
+    ((1, 1, -2), (0, 2, 5), ((1, 0, 1), (1, 1, 2), (2, 2, 3), (1, 2, 3), (2, 3, 4))),
+    # up landing above the heap top: row 0 empties and row 2 turns
+    # positive, but row 1 is on the heap below it and is worked first
+    ((2, 0, -2), (0, 0, 5), ((2, 0, 1), (1, 0, 1), (2, 1, 2), (1, 1, 2), (2, 2, 3), (1, 2, 3))),
+    # multi-row run: column 1 climbs rows 0 and 1, and the heap hands on
+    # row 3, not the run's top row 2
+    ((2, -1, -1), (0, 3, 3), ((1, 0, 2), (3, 3, 4))),
+]
+
+
 @pytest.mark.parametrize(
     "steps,ranks,runs",
-    [
-        # down landing: column 4 lands on row 1 while the working row 2 keeps
-        # a count of 2, so row 1 is worked next and row 2 waits on the heap
-        (
-            (2, 1, 1, -1, -3),
-            (0, 0, 1, 2, 6),
-            ((2, 0, 1), (1, 0, 1), (3, 1, 2), (2, 1, 2), (4, 2, 3), (1, 1, 2), (3, 2, 3),
-             (2, 2, 3), (4, 3, 4), (1, 2, 3), (3, 3, 4), (4, 4, 5), (2, 3, 4), (3, 4, 5)),
-        ),
-        # level arrow: column 2 leaves row 0, which stays the working row
-        ((1, 0, -1), (0, 0, 2), ((2, 0, 1), (1, 0, 1))),
-        # up landing below the heap top: row 0 empties, row 1 turns positive
-        # and the heap holds only row 2, so row 1 is worked next
-        ((1, 1, -2), (0, 2, 5), ((1, 0, 1), (1, 1, 2), (2, 2, 3), (1, 2, 3), (2, 3, 4))),
-        # up landing above the heap top: row 0 empties and row 2 turns
-        # positive, but row 1 is on the heap below it and is worked first
-        ((2, 0, -2), (0, 0, 5), ((2, 0, 1), (1, 0, 1), (2, 1, 2), (1, 1, 2), (2, 2, 3), (1, 2, 3))),
-        # multi-row run: column 1 climbs rows 0 and 1, and the heap hands on
-        # row 3, not the run's top row 2
-        ((2, -1, -1), (0, 3, 3), ((1, 0, 2), (3, 3, 4))),
-    ],
+    HAND_OFFS,
     ids=["down-landing", "level-arrow", "up-below-heap-top", "up-above-heap-top", "run-then-heap"],
 )
 def test_working_row_hand_offs(steps, ranks, runs):
     # after each move the next working row is known without the heap, or
-    # read off it; each case takes one of those hand-offs
+    # read off it; each case takes one of the step-function kernel's
+    # hand-offs, which test_balancing_kernels_agree runs it on
     diagram = PathDiagram(steps, ranks)
     assert vib(diagram)[1].runs == runs
     assert_vib_matches(diagram)
+
+
+@pytest.mark.parametrize(
+    "steps,ranks,balanced",
+    [((1, -1), (-1, 1), (0, 1)), ((1, 1, -1, -1), (-1, -1, 1, 1), (0, 0, 1, 1))],
+)
+def test_first_ranks_below_zero(steps, ranks, balanced):
+    # vib takes a first rank below zero when its arrow ends at or above zero;
+    # the row kernel must then index its lists from below zero
+    assert assert_vib_matches(PathDiagram(steps, ranks)).ranks == balanced
+
+
+def balance_with_both_kernels(diagram):
+    """Balance ``diagram`` with the step-function kernel and with the row
+    kernel on a row layout worked out here; check they agree and return
+    the log."""
+    steps, ranks = diagram.steps, list(diagram.ranks)
+    _, _, up, rightmost, jump = _scan(steps, ranks)
+    cap = _step_cap(len(steps), ranks[-1], up)
+    lo = min(ranks[0], *(r + b for r, b in zip(ranks, steps)))
+    size = ranks[-1] + up + max(steps) - lo + 2
+    final = list(ranks)
+    log, pointers = _balance_steps(steps, final, dict(rightmost), jump, cap)
+
+    def read(pointers, height):
+        # as _label reads a pointer: a column at that height, or none
+        j = pointers.get(height, -1)
+        return j if j >= 0 and final[j] == height else -1
+
+    by_rows = list(ranks)
+    row_log, row_pointers = _balance_rows(steps, by_rows, cap, lo, size)
+    assert row_log == log
+    assert by_rows == final
+    for height in range(lo, lo + size):
+        assert read(row_pointers, height) == read(pointers, height)
+    assert tuple(final) == ref_vib(steps, diagram.ranks)[0]
+    return log
+
+
+def test_balancing_kernels_agree():
+    # Tier-1's small diagrams take the row kernel and its tall ones the step
+    # function, so each kernel also runs here on the other's inputs.
+    rng = random.Random("kernels")
+    pool = [PathDiagram(steps, ranks) for steps, ranks, _ in EMPTIED_BLOCKS + HAND_OFFS]
+    pool += [PathDiagram((1, -1), (-1, 1)), PathDiagram((1, 1, -1, -1), (-1, -1, 1, 1))]
+    for k in (2, 3, 5, 37, 100, 300):
+        pool += [minimal_diagram(Path(steps)) for steps in ((2 * k, -k, -k), (k, -1, k, -(2 * k - 1)), (k, -k))]
+    # lifted far above zero, the row kernel offsets its lists by about 10**9
+    pool += [PathDiagram(d.steps, [r + 10**9 for r in d.ranks]) for d in pool]
+    for text in CRITERION_3_MULTISETS:
+        pool += map(minimal_diagram, enumerate_paths(EnumerationSpec(StepMultiset.from_text(text), PathKind.DYCK)))
+    for max_step, sizes in ((3, (1, 10, 50, 150)), (30, (5, 10, 20, 40)), (300, (3, 5, 10))):
+        for n in sizes:
+            for _ in range(3):
+                walk = random_walk(rng, n, max_step)
+                pool.append(minimal_diagram(Path(ref_osweep(walk.steps, rng.choice(SCHEDULES)))))
+    for diagram in pool:
+        balance_with_both_kernels(diagram)
+    # walk images at |b| <= 30 whose logs hold multi-row runs
+    with_runs = 0
+    for _ in range(200):
+        walk = random_walk(rng, rng.randint(5, 20), 30)
+        log = balance_with_both_kernels(minimal_diagram(Path(ref_osweep(walk.steps, rng.choice(SCHEDULES)))))
+        with_runs += any(entry < 0 for entry in log)
+    assert with_runs >= 10, with_runs
 
 
 def test_counting_moves_leaves_the_log_unexpanded():

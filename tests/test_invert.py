@@ -138,6 +138,29 @@ class TestVib:
             assert balanced.is_increasing
             assert vpath(balanced) == vpath(d)
 
+    def test_a_diagram_lifted_far_above_zero_balances_as_unlifted(self):
+        # rows are indexed from the lowest one balancing can touch, so the
+        # lift costs no memory
+        lift = 10**9
+        minimal = minimal_diagram(Path(ref_osweep(random_walk(random.Random("lifted"), 300).steps)))
+        tracemalloc.start()
+        try:
+            lifted, trace = vib(PathDiagram(minimal.steps, [r + lift for r in minimal.ranks]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        balanced, unlifted = vib(minimal)
+        assert lifted.ranks == tuple(r + lift for r in balanced.ranks)
+        expected = []
+        entries = iter(unlifted.log)
+        for column in entries:
+            expected.append(column)
+            if column < 0:  # a run logs the rank it raised its column to
+                expected.append(next(entries) + lift)
+        assert trace.log == tuple(expected)
+        assert len(trace.log) > 1000
+        assert peak < 2**20
+
     def test_step_cap_turns_bug_into_error(self, fig_path, monkeypatch):
         start = PathDiagram(fig_path.steps, (0, 0, 0, 3, 3, 3))
         for cap in (2, 4):
