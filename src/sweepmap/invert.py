@@ -12,22 +12,23 @@ path, on its completion under the lifted schedule; see :func:`invert_pipeline`):
 Each stage is a kernel on plain lists (``_balance``, ``_label``) that
 :func:`vib`, :func:`hpath` and :func:`invert_pipeline` wrap in diagrams and
 traces.  ``_inverse`` runs them straight through on a step tuple, building
-neither; :func:`inv_osweep` and verification call it.  One checked scan,
-``_checked_scan``, refuses bad stage input for every caller.
+neither; :func:`inv_osweep` and verification call it.  One refusal,
+``_refuse``, names every problem of a bad stage input for every caller.
 The facts their correctness proofs rely on are re-checked at runtime as they
 go, always: a fact that fails raises
 :class:`~sweepmap.errors.InvariantViolation`.  On valid input the checks can
 never fire; they exist to turn latent bugs into loud ones.
 
-Cost: :func:`vib` checks its input and builds its starting state in one
-scan of the columns (:func:`sweepmap.paths._scan`).  A labeling round that
-completes proves its input valid, so :func:`hpath`, :func:`is_stable` and
-``_inverse`` scan only to refuse, to restart or to balance on a tall
-diagram; ``_inverse`` labels from balancing's final ranks and column
-pointers.  The scan also yields the row count's jumps, the ones
+Cost: :func:`vib` checks its input's order, lowest end and kind with
+builtins, and each balancing kernel builds the starting state it reads
+from the columns.  A labeling round that completes proves its input
+valid, so :func:`hpath`, :func:`is_stable` and ``_inverse`` build the row
+count's jumps (:func:`sweepmap.paths._jumps`, which
 :func:`~sweepmap.paths.row_counts` and :func:`~sweepmap.paths.is_balanced`
-read.  Balancing makes its unit moves in runs, raising one column over as
-many rows as the unit rule would in a row.  A run finds its column in O(1)
+read too) only to refuse or to restart; ``_inverse`` labels from
+balancing's final ranks and column pointers.  Balancing makes its unit
+moves in runs, raising one column over as many rows as the unit rule would
+in a row.  A run finds its column in O(1)
 from a pointer to the rightmost column at each height, and its working row
 is handed on from the move before.  The rows balancing can touch reach from
 the lowest start less the largest down step to the top rank plus the up
@@ -36,7 +37,6 @@ paths with small steps, the row counts and pointers are lists indexed by
 height, and a spent working row hands the search for the next one on
 upward: a move is a few list reads and writes, and the search steps over
 the rows of count at most zero between one working row and the next.
-``_inverse`` builds those lists straight from the columns, with no scan.
 Otherwise balancing starts from the step function the jumps give over
 breakpoints (the heights where arrows start or end), and reads a heap of
 positive rows only after a multi-row run or once both rows a move changed
@@ -55,6 +55,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation, PreconditionError, StepLimitExceeded
@@ -62,15 +63,13 @@ from .paths import (
     Path,
     PathDiagram,
     PathKind,
+    _jumps,
     _kind_of,
     _minimal_ranks,
     _require_kind,
-    _scan,
     _step_function,
     _strip,
     complete,
-    connected_diagram,
-    is_balanced,
     minimal_diagram,
 )
 from .schedules import REVERSE, PermSchedule
@@ -277,39 +276,28 @@ def _add_to_rows(
     return values
 
 
-def _checked_scan(op: str, steps: tuple[int, ...], ranks: Sequence[int], dyck: bool = False) -> tuple:
-    """:func:`sweepmap.paths._scan` of the input of stage ``op``, ``"vib"``
-    (whose steps form a Dyck path if ``dyck``) or ``"hpath"``, refusing with
-    every problem the stage finds, in one order."""
-    scan = _scan(steps, ranks)
-    increasing, lowest_end, _, _, jump = scan
-    if op == "vib":
-        negative = unbalanced = False
-    else:
-        negative = bool(ranks) and (ranks[0] if increasing else min(ranks)) < 0
-        unbalanced = any(jump.values())
-        dyck = True
-    if increasing and lowest_end >= 0 and dyck and not negative and not unbalanced:
-        return scan
+def _refuse(op: str, steps: tuple[int, ...], ranks: list[int], dyck: bool = True) -> None:
+    """Refuse the input of stage ``op``, ``"vib"`` (whose steps form a Dyck
+    path if ``dyck``) or ``"hpath"``, with every problem the stage finds, in
+    one order; return if it finds none."""
     found = {
-        "ranks are not weakly increasing": not increasing,
-        "a rank is negative": negative,
-        "an arrow ends below height zero": lowest_end < 0,
+        "ranks are not weakly increasing": ranks != sorted(ranks),
+        "a rank is negative": op == "hpath" and min(ranks, default=0) < 0,
+        "an arrow ends below height zero": min(map(add, ranks, steps), default=0) < 0,
         "steps do not form a Dyck path": not dyck,
-        "the diagram is not balanced": unbalanced,
+        "the diagram is not balanced": op == "hpath" and any(_jumps(steps, ranks).values()),
     }
-    raise PreconditionError(f"{op} input rejected: " + "; ".join(p for p, hit in found.items() if hit))
+    problems = [problem for problem, hit in found.items() if hit]
+    if problems:
+        raise PreconditionError(f"{op} input rejected: " + "; ".join(problems))
 
 
-def _balance(
-    steps: tuple[int, ...], ranks: list[int], scan: tuple | None
-) -> tuple[list[int], dict[int, int]]:
+def _balance(steps: tuple[int, ...], ranks: list[int]) -> tuple[list[int], dict[int, int]]:
     """The balancing of :func:`vib` on plain lists: raise ``ranks`` in place,
     and return the log and the rightmost column at each height the final
     ranks hold (at other heights a pointer may be stale: -1 or a column now
-    elsewhere).  ``scan`` is the ranks' :func:`_scan`, or None for a Dyck
-    path's steps on ranks from zero up with no arrow ending below zero.  The
-    input is not checked here.
+    elsewhere).  The input, a Dyck path's steps on weakly increasing ranks
+    with no arrow ending below zero, is not checked here.
 
     The rows balancing touches lie between the lowest start less the
     largest down step and the top rank plus the up steps (a bound on the
@@ -320,27 +308,24 @@ def _balance(
     with the step magnitudes.  Both make the same moves, log and checks.
     """
     n = len(steps)
-    if scan is None:
-        # steps that sum to zero climb by half their total magnitude
-        up = sum(map(abs, steps)) >> 1
-    else:
-        up = scan[2]
+    # steps that sum to zero climb by half their total magnitude
+    up = sum(map(abs, steps)) >> 1
     top = ranks[-1] if n else 0  # increasing ranks peak at the last
     cap = _step_cap(n, top, up)
     widest = 2 * n + 64
     # the span is at least the up steps, so a tall diagram leaves at once
     if n and up <= widest:
-        # The lowest row is the first rank or an arrow's end.  An end lies
-        # at or above the first rank less the largest down step, and at or
-        # above zero unless the scan found a lower one (and without a scan
-        # no start or end is below zero).
-        lo = 0 if scan is None else min(ranks[0], max(scan[1], ranks[0] + min(steps)))
+        # The lowest row is the first rank or an arrow's end, which lies at
+        # or above zero and at or above the first rank less the largest
+        # down step.  A first rank at or below zero, as minimal ranks have,
+        # is the lowest row, and the steps are not read for it.
+        lo = ranks[0]
+        if lo > 0:
+            lo = min(lo, max(0, lo + min(steps)))
         hi = top + up + max(steps)
         if hi - lo <= widest:
             return _balance_rows(steps, ranks, cap, lo, hi - lo + 2)
-    if scan is None:
-        scan = _scan(steps, ranks)
-    return _balance_steps(steps, ranks, scan[3], scan[4], cap)
+    return _balance_steps(steps, ranks, cap)
 
 
 def _balance_rows(
@@ -452,18 +437,17 @@ def _balance_rows(
     return log, dict(zip(ranks, pointers))
 
 
-def _balance_steps(
-    steps: tuple[int, ...], ranks: list[int], rightmost: dict[int, int], jump: dict[int, int], cap: int
-) -> tuple[list[int], dict[int, int]]:
+def _balance_steps(steps: tuple[int, ...], ranks: list[int], cap: int) -> tuple[list[int], dict[int, int]]:
     """:func:`_balance` on the row count as a step function over
-    breakpoints, from the scan's ``rightmost`` pointers and ``jump``
-    dictionary: time and memory independent of the step magnitudes."""
+    breakpoints, with the column pointers in a dictionary keyed by height:
+    time and memory independent of the step magnitudes."""
     n = len(steps)
+    rightmost = {r: j for j, r in enumerate(ranks)}
 
     # The row count as a step function: count[p] holds from breakpoint p up to
     # the next one.  Breakpoints are added, never removed, and the start and
     # end height of every arrow stay among them.
-    count = _step_function(jump)
+    count = _step_function(_jumps(steps, ranks))
     points = list(count)
     # Min-heap holding the start of every positive interval but the working
     # row; starts no longer positive are dropped lazily when they reach the
@@ -595,8 +579,10 @@ def vib(diagram: PathDiagram) -> tuple[PathDiagram, VibTrace]:
     """
     steps = diagram.steps
     ranks = list(diagram.ranks)
-    kind = diagram._kind if diagram._kind is not None else _kind_of(steps)
-    log, _ = _balance(steps, ranks, _checked_scan("vib", steps, ranks, kind is PathKind.DYCK))
+    dyck = (diagram._kind if diagram._kind is not None else _kind_of(steps)) is PathKind.DYCK
+    if not (dyck and ranks == sorted(ranks) and (not ranks or min(map(add, ranks, steps)) >= 0)):
+        _refuse("vib", steps, ranks, dyck)
+    log, _ = _balance(steps, ranks)
     final = PathDiagram._trusted(steps, tuple(ranks), PathKind.DYCK)  # as the check made sure
     return final, _record(VibTrace, log=tuple(log), initial_ranks=diagram.ranks, final_ranks=final.ranks)
 
@@ -654,7 +640,7 @@ def _first_round(
             return labeling
     # steps that do not sum to zero leave a row count nonzero, so input that
     # skipped the round is always refused here
-    _checked_scan("hpath", steps, ranks)
+    _refuse("hpath", steps, ranks)
     return labeling
 
 
@@ -689,24 +675,23 @@ def hpath(diagram: PathDiagram, schedule: PermSchedule) -> tuple[Path, HPathTrac
             all(labeled[:k]),
             "stuck with an unlabeled height-zero arrow",
         )
-        prefix = Path(steps[j] for j in order)
-        _check(prefix.is_dyck, "labeled prefix is not a Dyck path")
+        prefix = tuple([steps[j] for j in order])
+        _check(_kind_of(prefix) is PathKind.DYCK, "labeled prefix is not a Dyck path")
+        # drawn connected, the Dyck prefix starts at height zero
         _check(
-            is_balanced(connected_diagram(prefix)),
+            not any(_jumps(prefix, accumulate(prefix, initial=0)).values()),
             "labeled prefix is not balanced",
         )
-        leftover = PathDiagram(
-            (steps[c] for c in range(n) if not labeled[c]),
-            (ranks[c] for c in range(n) if not labeled[c]),
+        left = [c for c in range(n) if not labeled[c]]
+        _check(
+            not any(_jumps([steps[c] for c in left], [ranks[c] for c in left]).values()),
+            "unlabeled remainder is not balanced",
         )
-        _check(is_balanced(leftover), "unlabeled remainder is not balanced")
 
-        for c in range(n):
-            if not labeled[c]:
-                ranks[c] -= 1
-        increasing, _, _, rightmost, jump = _scan(steps, ranks)
-        _check(increasing, "downshift broke the increasing order")
-        _check(not any(jump.values()), "downshift broke balance")
+        for c in left:
+            ranks[c] -= 1
+        _check(ranks == sorted(ranks), "downshift broke the increasing order")
+        _check(not any(_jumps(steps, ranks).values()), "downshift broke balance")
         if k > 0:
             # With height-zero arrows present the first column keeps rank 0.
             _check(ranks[0] == 0, "downshift moved the first rank off zero")
@@ -721,6 +706,7 @@ def hpath(diagram: PathDiagram, schedule: PermSchedule) -> tuple[Path, HPathTrac
                 "this indicates an implementation bug"
             )
         k = bisect_right(ranks, 0)
+        rightmost = {r: j for j, r in enumerate(ranks)}
         order, labeled, level = _label(steps, ranks, rightmost, schedule.inverse_perm(k))
 
     # A first round leaves the ranks as they came, so it keeps the input.
@@ -809,8 +795,8 @@ def _inverse(steps: tuple[int, ...], kind: PathKind, schedule: PermSchedule) -> 
     ranks = _minimal_ranks(dyck)
     # minimal ranks increase from zero up and end at or above zero, and the
     # kind makes the completion a Dyck path, so balancing's input needs no
-    # check, and no scan unless the diagram is tall
-    _, rightmost = _balance(dyck, ranks, None)
+    # check
+    _, rightmost = _balance(dyck, ranks)
     order = _first_round(dyck, ranks, schedule, rightmost)[0]
     if len(order) == len(dyck):
         preimage = tuple([dyck[j] for j in order])

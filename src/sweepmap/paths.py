@@ -8,10 +8,12 @@ between heights ``j`` and ``j+1``; its count is the number of up-arrow
 segments crossing it minus the number of down-arrow segments.  A diagram is
 *balanced* when every row count is zero, the pivotal property for inverting
 the sweep maps defined in :mod:`sweepmap.sweep`.  The counts form a step
-function built one way only: :func:`_scan` records its jumps (+1 where an
-arrow starts, -1 where it ends), which :func:`row_counts`,
-:func:`is_balanced` and the inversion in :mod:`sweepmap.invert` all read.  :func:`complete` and
-:func:`strip` carry incomplete Dyck paths to Dyck paths and back.
+function built one way only, from the jump table :func:`_jumps` records
+(+1 where an arrow starts, -1 where it ends), which :func:`row_counts`,
+:func:`is_balanced` and the inversion in :mod:`sweepmap.invert` (the
+labeling's input check and restarts, and tall-diagram balancing) all
+read.  :func:`complete` and :func:`strip` carry incomplete Dyck paths to
+Dyck paths and back.
 
 All values here are immutable and all operations are pure functions, so they
 can be shared freely across threads.
@@ -235,31 +237,19 @@ class PathDiagram:
         return self.is_increasing and all(e >= 0 for e in self.end_ranks)
 
 
-def _scan(steps: Sequence[int], ranks: Sequence[int]) -> tuple[bool, int, int, dict[int, int], dict[int, int]]:
-    """One pass over the columns: rank order, lowest arrow end (or 0),
-    up-step total, rightmost column per height, and the row count's jumps
-    (+1 where an arrow starts, -1 where it ends; level arrows add none).
+def _jumps(steps: Iterable[int], ranks: Iterable[int]) -> dict[int, int]:
+    """The row count's jumps: +1 where an arrow starts, -1 where it ends
+    (level arrows add none).
 
     The jumps are the one source of row counts: ``count(j)`` is the sum of
     the jumps at heights up to ``j``.
     """
-    rightmost: dict[int, int] = {}
     jump: dict[int, int] = {}
-    increasing = True
-    lowest_end = up = 0
-    for column, (b, r) in enumerate(zip(steps, ranks)):
-        if column and ranks[column - 1] > r:
-            increasing = False
-        rightmost[r] = column
-        end = r + b
-        if end < lowest_end:
-            lowest_end = end
+    for b, r in zip(steps, ranks):
         if b:
             jump[r] = jump.get(r, 0) + 1
-            jump[end] = jump.get(end, 0) - 1
-            if b > 0:
-                up += b
-    return increasing, lowest_end, up, rightmost, jump
+            jump[r + b] = jump.get(r + b, 0) - 1
+    return jump
 
 
 def _step_function(jump: dict[int, int]) -> dict[int, int]:
@@ -300,7 +290,7 @@ def row_counts(diagram: PathDiagram) -> RowCounts:
     An up arrow from height ``r`` covers rows ``r .. r+b-1``, a down arrow
     rows ``r+b .. r-1``, and a level arrow none.
     """
-    count = _step_function(_scan(diagram.steps, diagram.ranks)[4])
+    count = _step_function(_jumps(diagram.steps, diagram.ranks))
     return RowCounts(list(count), list(count.values()))
 
 
@@ -311,7 +301,7 @@ def is_balanced(diagram: PathDiagram) -> bool:
     are zero below every arrow, so every count vanishes exactly when every
     jump does.
     """
-    return not any(_scan(diagram.steps, diagram.ranks)[4].values())
+    return not any(_jumps(diagram.steps, diagram.ranks).values())
 
 
 def minimal_diagram(path: Path) -> PathDiagram:

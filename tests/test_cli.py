@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sweepmap.invert
 from sweepmap import (
     CYCLE,
     IDENTITY,
@@ -73,10 +74,24 @@ class TestSweepCommands:
         _, err = out_of(capsys)
         assert "oops" in err
 
-    def test_malformed_schedule_names_token(self, capsys):
-        assert run(["osweep", "--path", "1,-1", "--schedule", "sideways"]) == 2
-        _, err = out_of(capsys)
-        assert "sideways" in err
+    @pytest.mark.parametrize(
+        "schedule,file_text,message",
+        [
+            ("sideways", None, "sideways"),
+            (None, "[1]", "schedule document must be a JSON object, got list"),
+            ('{"table": [1]}', None, "schedule table must be an object mapping sizes to permutations"),
+            (None, "{nope", "holds invalid JSON"),
+        ],
+        ids=["unknown name", "file not an object", "table not an object", "file not JSON"],
+    )
+    def test_malformed_schedule_is_refused(self, schedule, file_text, message, tmp_path, capsys):
+        if file_text is not None:
+            schedule = tmp_path / "schedule.json"
+            schedule.write_text(file_text, encoding="utf-8")
+        assert run(["osweep", "--path", "1,-1", "--schedule", str(schedule)]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
 
 class TestInvert:
@@ -109,6 +124,17 @@ class TestInvert:
         _, err = out_of(capsys)
         assert err == "oracle mismatch: pipeline -1,-1,1,-1, table -1,2,-1,-1\n"
 
+    @pytest.mark.parametrize(
+        "text", ["2,0,2,-3,1,-2", "2000000000,-1000000000,-1000000000"], ids=["row kernel", "step function"]
+    )
+    def test_violated_invariant_exits_one(self, text, capsys, monkeypatch):
+        # a cap of no moves binds on the first move of either balancing kernel
+        monkeypatch.setattr(sweepmap.invert, "_step_cap", lambda *_: 0)
+        assert run(["invert", "--path", text]) == 1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error: balancing exceeded its safety cap of 0 moves; ")
+
 
 class TestEnumerateVerify:
     def test_enumerate_text(self, capsys):
@@ -126,10 +152,18 @@ class TestEnumerateVerify:
         out, _ = out_of(capsys)
         assert json.loads(out) == [[-1, 1, -1], [1, -1, -1]]
 
-    def test_enumerate_cap_exceeded(self, capsys):
-        assert run(["enumerate", "--type", "1^4,-1^4", "--kind", "dyck", "--cap", "3"]) == 2
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--type", "1^4,-1^4", "--kind", "dyck", "--cap", "3"], "cap"),
+            (["--type", "1^0,-1", "--kind", "dyck"], "multiplicity of 1 must be positive, got 0"),
+        ],
+        ids=["cap exceeded", "zero multiplicity"],
+    )
+    def test_enumerate_refusals(self, argv, message, capsys):
+        assert run(["enumerate", *argv]) == 2
         _, err = out_of(capsys)
-        assert "cap" in err
+        assert message in err
 
     def test_enumerate_path_longer_than_recursion_limit(self, capsys):
         assert run(["enumerate", "--type", "0^1200", "--kind", "free", "--count-only"]) == 0

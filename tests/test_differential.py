@@ -40,7 +40,6 @@ from sweepmap import (
     vib,
 )
 from sweepmap.invert import _balance_rows, _balance_steps, _step_cap
-from sweepmap.paths import _scan
 from helpers import (
     CRITERION_3_MULTISETS,
     CRITERION_8_MULTISETS,
@@ -252,12 +251,12 @@ def balance_with_both_kernels(diagram):
     kernel on a row layout worked out here; check they agree and return
     the log."""
     steps, ranks = diagram.steps, list(diagram.ranks)
-    _, _, up, rightmost, jump = _scan(steps, ranks)
+    up = sum(b for b in steps if b > 0)
     cap = _step_cap(len(steps), ranks[-1], up)
     lo = min(ranks[0], *(r + b for r, b in zip(ranks, steps)))
     size = ranks[-1] + up + max(steps) - lo + 2
     final = list(ranks)
-    log, pointers = _balance_steps(steps, final, dict(rightmost), jump, cap)
+    log, pointers = _balance_steps(steps, final, cap)
 
     def read(pointers, height):
         # as _label reads a pointer: a column at that height, or none

@@ -170,6 +170,28 @@ class TestVib:
         monkeypatch.setattr(sweepmap.invert, "_step_cap", lambda *_: 5)
         assert vib(start)[0].ranks == (0, 0, 2, 3, 4, 5)
 
+    @pytest.mark.parametrize(
+        "steps,ranks,other",
+        [((-1,), [1], "_balance_steps"), ((-10**9,), [10**9], "_balance_rows")],
+        ids=["row kernel", "step function"],
+    )
+    def test_balancing_checks_its_final_row_counts(self, monkeypatch, steps, ranks, other):
+        # _balance takes its input unchecked; steps that do not form a Dyck
+        # path cannot balance, and each kernel's last check says so
+        monkeypatch.setattr(sweepmap.invert, other, None)
+        with pytest.raises(InvariantViolation) as stopped:
+            sweepmap.invert._balance(steps, ranks)
+        assert str(stopped.value) == "balancing stopped with a nonzero row count"
+
+    def test_short_diagrams_balance_without_row_count_jumps(self, fig_path, monkeypatch):
+        # vib checks its input with builtins, and the row kernel builds its
+        # lists from the columns
+        def no_jumps(*_):
+            raise AssertionError("row count jumps were built")
+
+        monkeypatch.setattr(sweepmap.invert, "_jumps", no_jumps)
+        assert vib(minimal_diagram(fig_path))[0].ranks == (0, 0, 2, 3, 4, 5)
+
     def test_default_cap_covers_a_climb_above_the_end_ranks(self):
         # the last arrow must climb to rank 29, above every end rank of the
         # start: 129 moves, more than N * (max end rank + N) = 128
@@ -457,10 +479,10 @@ class TestInvOsweep:
         # sign faults balanced, and the labeling round would complete on them
         balance = sweepmap.invert._balance
 
-        def faulty(steps, ranks, scan):
+        def faulty(steps, ranks):
             if fault == "stops before balancing":
-                return balance(steps, list(ranks), scan)
-            result = balance(steps, ranks, scan)
+                return balance(steps, list(ranks))
+            result = balance(steps, ranks)
             if fault == "raises the last arrow too far":
                 ranks[-1] += 1
             elif fault == "breaks the rank order":
