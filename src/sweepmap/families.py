@@ -12,28 +12,27 @@ the enumerator builds its one :class:`Path` per member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
 from .errors import BijectionError, FamilyCapExceeded, PreconditionError
 from .invert import _inverse
-from .paths import Path, PathKind, StepMultiset, _kind_of, _require_kind
+from .paths import Path, PathKind, StepMultiset, _kind_of, _Record, _require_kind
 from .schedules import PermSchedule
 from .sweep import _osweep, osweep
 
 DEFAULT_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class EnumerationSpec:
+class EnumerationSpec(_Record):
     """A path family: the step multiset, which kind of paths, and a size cap."""
 
     multiset: StepMultiset
     kind: PathKind
     cap: int = DEFAULT_CAP
 
-    def __post_init__(self) -> None:
+    def __init__(self, multiset: StepMultiset, kind: PathKind, cap: int = DEFAULT_CAP) -> None:
+        super().__init__(multiset, kind, cap)
         if self.cap < 1:
             raise PreconditionError(f"cap must be positive, got {self.cap}")
         total = self.multiset.total
@@ -121,8 +120,7 @@ def oracle_invert(path: Path, schedule: PermSchedule, cap: int = DEFAULT_CAP) ->
     return preimages[0]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of an exhaustive bijectivity check over one family.
 
     ``counterexample`` is the first member, in enumeration order, whose image

@@ -51,7 +51,6 @@ moves and labels only when read.  A labeling round is O(n).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate
@@ -66,6 +65,7 @@ from .paths import (
     _jumps,
     _kind_of,
     _minimal_ranks,
+    _Record,
     _require_kind,
     _step_function,
     _strip,
@@ -115,8 +115,7 @@ class VibMoves:
                 yield VibMove(step, row, column, row, row + 1)
 
 
-@dataclass(frozen=True)
-class VibTrace:
+class VibTrace(_Record):
     """Balancing log over ``initial_ranks``: a unit move logs its 0-based
     column ``c``, a run of several unit moves on one column logs ``~c`` and
     then the rank it raised ``c`` to.  :attr:`runs` and :attr:`moves` replay
@@ -166,8 +165,7 @@ class HPathLabel(NamedTuple):
         return self._asdict()
 
 
-@dataclass(frozen=True)
-class HPathRound:
+class HPathRound(_Record):
     """Labeling attempt ``number``: either it labels everything or it gets
     stuck at height zero, in which case every unlabeled arrow is shifted down
     one.  ``order`` holds the labeled 0-based columns in label order, and
@@ -186,13 +184,11 @@ class HPathRound:
         return tuple(HPathLabel(self.number, i, j + 1, ranks[j]) for i, j in enumerate(self.order, 1))
 
 
-@dataclass(frozen=True)
-class HPathTrace:
+class HPathTrace(_Record):
     rounds: tuple[HPathRound, ...]
 
 
-@dataclass(frozen=True)
-class InversionResult:
+class InversionResult(_Record):
     """Everything the inversion pipeline produced, traces included; for an
     incomplete path, all but ``preimage`` are those of its completion."""
 
@@ -201,14 +197,6 @@ class InversionResult:
     balanced: PathDiagram
     vib_trace: VibTrace
     hpath_trace: HPathTrace
-
-
-def _record(cls, **fields):
-    """``cls(**fields)`` for a frozen record the library built: the fresh
-    ``fields`` dict becomes its ``__dict__``, with no frozen ``__setattr__``."""
-    record = object.__new__(cls)
-    object.__setattr__(record, "__dict__", fields)
-    return record
 
 
 def _step_cap(n: int, top_rank: int, up: int) -> int:
@@ -583,8 +571,8 @@ def vib(diagram: PathDiagram) -> tuple[PathDiagram, VibTrace]:
     if not (dyck and ranks == sorted(ranks) and (not ranks or min(map(add, ranks, steps)) >= 0)):
         _refuse("vib", steps, ranks, dyck)
     log, _ = _balance(steps, ranks)
-    final = PathDiagram._trusted(steps, tuple(ranks), PathKind.DYCK)  # as the check made sure
-    return final, _record(VibTrace, log=tuple(log), initial_ranks=diagram.ranks, final_ranks=final.ranks)
+    final = PathDiagram._make(steps=steps, ranks=tuple(ranks), _kind=PathKind.DYCK)  # as the check made sure
+    return final, VibTrace._make(log=tuple(log), initial_ranks=diagram.ranks, final_ranks=final.ranks)
 
 
 def _label(
@@ -695,9 +683,9 @@ def hpath(diagram: PathDiagram, schedule: PermSchedule) -> tuple[Path, HPathTrac
         if k > 0:
             # With height-zero arrows present the first column keeps rank 0.
             _check(ranks[0] == 0, "downshift moved the first rank off zero")
-        after = PathDiagram._trusted(steps, tuple(ranks), diagram._kind)
-        rounds.append(_record(
-            HPathRound, k=k, order=tuple(order), stop_reason="stuck-at-level-0", diagram_after=after,
+        after = PathDiagram._make(steps=steps, ranks=tuple(ranks), _kind=diagram._kind)
+        rounds.append(HPathRound._make(
+            k=k, order=tuple(order), stop_reason="stuck-at-level-0", diagram_after=after,
             number=len(rounds) + 1,
         ))
         if len(rounds) > round_budget:
@@ -710,11 +698,11 @@ def hpath(diagram: PathDiagram, schedule: PermSchedule) -> tuple[Path, HPathTrac
         order, labeled, level = _label(steps, ranks, rightmost, schedule.inverse_perm(k))
 
     # A first round leaves the ranks as they came, so it keeps the input.
-    final = PathDiagram._trusted(steps, tuple(ranks), diagram._kind) if rounds else diagram
-    rounds.append(_record(
-        HPathRound, k=k, order=tuple(order), stop_reason="completed", diagram_after=final, number=len(rounds) + 1
+    final = PathDiagram._make(steps=steps, ranks=tuple(ranks), _kind=diagram._kind) if rounds else diagram
+    rounds.append(HPathRound._make(
+        k=k, order=tuple(order), stop_reason="completed", diagram_after=final, number=len(rounds) + 1
     ))
-    return Path._trusted(tuple([steps[j] for j in order])), _record(HPathTrace, rounds=tuple(rounds))
+    return Path._make(steps=tuple([steps[j] for j in order])), HPathTrace._make(rounds=tuple(rounds))
 
 
 def is_stable(diagram: PathDiagram, schedule: PermSchedule = REVERSE) -> bool:
@@ -756,9 +744,8 @@ def invert_pipeline(
         len(hpath_trace.rounds) == 1,
         "balanced diagram from the minimal placement was not stable",
     )
-    return _record(
-        InversionResult,
-        preimage=preimage if dyck is path else Path._trusted(_strip(preimage.steps)),
+    return InversionResult._make(
+        preimage=preimage if dyck is path else Path._make(steps=_strip(preimage.steps)),
         minimal=minimal,
         balanced=balanced,
         vib_trace=vib_trace,
@@ -781,7 +768,7 @@ def inv_osweep(path: Path, schedule: PermSchedule) -> Path:
     its input, and a stranded round on ranks that pass raises
     :class:`~sweepmap.errors.InvariantViolation`.
     """
-    return Path._trusted(_inverse(path.steps, path.classify(), schedule))
+    return Path._make(steps=_inverse(path.steps, path.classify(), schedule))
 
 
 def _inverse(steps: tuple[int, ...], kind: PathKind, schedule: PermSchedule) -> tuple[int, ...]:

@@ -16,7 +16,11 @@ read.  :func:`complete` and :func:`strip` carry incomplete Dyck paths to
 Dyck paths and back.
 
 All values here are immutable and all operations are pure functions, so they
-can be shared freely across threads.
+can be shared freely across threads.  The package's value records (paths,
+diagrams and multisets here, the inversion's traces and result, family specs
+and reports) derive from :class:`_Record`: their fields are the names the
+class annotates, they refuse assignment and deletion, compare and hash by
+exact class and fields, and spell their repr ``Name(field=value, ...)``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import operator
 import re
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
@@ -53,6 +56,55 @@ def parse_int_list(text: str, label: str = "value") -> tuple[int, ...]:
     return tuple(values)
 
 
+class _Record:
+    """An immutable value record; its fields are the names its class annotates.
+
+    ``__init__`` takes the fields by position or name, and a field the class
+    gives a value defaults to it.  :meth:`_make` takes a fresh dict of
+    fields the library built, unchecked, as the instance ``__dict__``, which
+    stays open to cached values that are no fields (a ``cached_property``'s).
+    Assigning or deleting any attribute raises ``AttributeError``.
+    """
+
+    def __init_subclass__(cls) -> None:
+        if cls.__dict__.get("__annotations__"):  # a bare subclass keeps its base's fields
+            cls._fields = tuple(cls.__annotations__)
+            cls._values = operator.attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, names = type(self), self._fields
+        fields = dict(zip(names, args), **kwargs)
+        # refuse extra values, a field given twice, an unknown name, or a missing field with no default
+        if len(fields) < len(args) + len(kwargs) or not fields.keys() <= set(names) or not all(
+            n in fields or hasattr(cls, n) for n in names
+        ):
+            raise TypeError(f"{cls.__name__}() takes each of {', '.join(names)} once, or its default")
+        object.__setattr__(self, "__dict__", {n: fields[n] if n in fields else getattr(cls, n) for n in names})
+
+    @classmethod
+    def _make(cls, **fields):
+        record = object.__new__(cls)
+        object.__setattr__(record, "__dict__", fields)
+        return record
+
+    def _refuse(self, name: str, *_) -> None:
+        raise AttributeError(f"cannot set or delete {name!r} of an immutable {type(self).__name__}")
+
+    __setattr__ = __delattr__ = _refuse
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class PathKind(Enum):
     """Coarse label for an integer step sequence, decided by :meth:`Path.classify`.
 
@@ -71,21 +123,13 @@ class PathKind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Record):
     """An immutable sequence of integer steps."""
 
     steps: tuple[int, ...]
 
     def __init__(self, steps: Iterable[int] = ()) -> None:
         object.__setattr__(self, "steps", tuple(map(operator.index, steps)))
-
-    @classmethod
-    def _trusted(cls, steps: tuple[int, ...], kind: PathKind | None = None) -> "Path":
-        """A path on an int tuple the library built, of ``kind`` if known, taken as is."""
-        path = object.__new__(cls)
-        object.__setattr__(path, "__dict__", {"steps": steps, "_kind": kind})
-        return path
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -160,7 +204,7 @@ def _require_kind(path: Path, op: str, *kinds: PathKind) -> None:
 def complete(path: Path) -> Path:
     """Prefix the up step that closes the height deficit, yielding a Dyck path."""
     _require_kind(path, "complete", PathKind.INCOMPLETE)
-    return Path._trusted((path.start_level, *path.steps), PathKind.DYCK)  # as completing makes it
+    return Path._make(steps=(path.start_level, *path.steps), _kind=PathKind.DYCK)  # as completing makes it
 
 
 def strip(path: Path) -> Path:
@@ -196,8 +240,7 @@ def arrow_color(step: int) -> str:
     return "purple"
 
 
-@dataclass(frozen=True)
-class PathDiagram:
+class PathDiagram(_Record):
     """Steps paired with the starting height of each column's arrow."""
 
     steps: tuple[int, ...]
@@ -213,13 +256,6 @@ class PathDiagram:
                 f"diagram needs one rank per step: {len(self.steps)} steps, "
                 f"{len(self.ranks)} ranks"
             )
-
-    @classmethod
-    def _trusted(cls, steps: tuple[int, ...], ranks: tuple[int, ...], kind: PathKind | None = None) -> "PathDiagram":
-        """A diagram on int tuples of one length the library built, of ``kind`` if known, taken as is."""
-        diagram = object.__new__(cls)
-        object.__setattr__(diagram, "__dict__", {"steps": steps, "ranks": ranks, "_kind": kind})
-        return diagram
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -311,7 +347,7 @@ def minimal_diagram(path: Path) -> PathDiagram:
     Ranks follow ``r_1 = max(0, -b_1)`` and ``r_{i+1} = max(r_i, -b_{i+1})``.
     The diagram keeps the path's kind if the path has decided it.
     """
-    return PathDiagram._trusted(path.steps, tuple(_minimal_ranks(path.steps)), path._kind)
+    return PathDiagram._make(steps=path.steps, ranks=tuple(_minimal_ranks(path.steps)), _kind=path._kind)
 
 
 def _minimal_ranks(steps: Sequence[int]) -> list[int]:
@@ -329,8 +365,7 @@ def connected_diagram(path: Path) -> PathDiagram:
     return PathDiagram(path.steps, path.connected_ranks())
 
 
-@dataclass(frozen=True)
-class StepMultiset:
+class StepMultiset(_Record):
     """A multiset of step values, stored as (value, multiplicity) pairs."""
 
     entries: tuple[tuple[int, int], ...]

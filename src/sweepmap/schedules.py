@@ -9,33 +9,38 @@ the sizes they do not cover.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, ScheduleError
+from .paths import _Record
 
 
 def _validate_permutation(perm: Sequence[int], k: int, origin: str) -> tuple[int, ...]:
-    perm = tuple(perm)
-    if sorted(perm) != list(range(1, k + 1)):
+    """``perm`` as a tuple, if it is a sequence of ints (not bools) that permutes 1..k."""
+    if isinstance(perm, Sequence):
+        perm = tuple(perm)
+    if not (
+        isinstance(perm, tuple)
+        and all(type(v) is not bool and isinstance(v, int) for v in perm)
+        and sorted(perm) == list(range(1, k + 1))
+    ):
         raise ScheduleError(f"{origin} is not a permutation of 1..{k}: {perm}")
     return perm
 
 
-@dataclass(frozen=True, eq=False)
 class PermSchedule:
     """A named total rule ``k -> one-line permutation of {1..k}``.
 
     Each size is validated on its first query and its permutation and inverse
     kept on the instance; a failed validation keeps nothing, so it raises on every query.
-    The rule must be pure: concurrent first queries may both run it.
+    The rule must be pure: concurrent first queries may both run it.  A
+    schedule is immutable and equal only to itself.
     """
 
-    name: str
-    rule: Callable[[int], Sequence[int]] = field(repr=False)
-    _perms: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
-    _inverses: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
-    _lifted: "PermSchedule | None" = field(default=None, init=False, repr=False)
+    def __init__(self, name: str, rule: Callable[[int], Sequence[int]]) -> None:
+        vars(self).update(name=name, rule=rule, _perms={}, _inverses={}, _lifted=None)
+
+    __setattr__ = __delattr__ = _Record._refuse
 
     def perm(self, k: int) -> tuple[int, ...]:
         """The one-line permutation for size ``k`` (validated)."""

@@ -81,8 +81,16 @@ class TestSweepCommands:
             (None, "[1]", "schedule document must be a JSON object, got list"),
             ('{"table": [1]}', None, "schedule table must be an object mapping sizes to permutations"),
             (None, "{nope", "holds invalid JSON"),
+            ('{"table": {"2": [2.0, 1]}}', None, "not a permutation of 1..2: (2.0, 1)"),
+            ('{"table": {"2": [true, 2]}}', None, "not a permutation of 1..2: (True, 2)"),
+            ('{"table": {"2": ["1", 2]}}', None, "not a permutation of 1..2: ('1', 2)"),
+            ('{"table": {"2": 5}}', None, "not a permutation of 1..2: 5"),
+            ('{"table": {"2": null}}', None, "not a permutation of 1..2: None"),
         ],
-        ids=["unknown name", "file not an object", "table not an object", "file not JSON"],
+        ids=[
+            "unknown name", "file not an object", "table not an object", "file not JSON",
+            "float entry", "bool entry", "string entry", "number for a table", "null for a table",
+        ],
     )
     def test_malformed_schedule_is_refused(self, schedule, file_text, message, tmp_path, capsys):
         if file_text is not None:
@@ -253,6 +261,19 @@ def test_closed_stdout_ends_the_script_quietly(tmp_path):
     assert "Traceback" not in (tmp_path / "stderr").read_text(encoding="utf-8")
     if hasattr(signal, "SIGPIPE"):
         assert proc.returncode == -signal.SIGPIPE
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI process pays for what importing the package loads, and these
+    # two cost it several milliseconds; -S keeps out site .pth files, which
+    # may import them on their own
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import sweepmap.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    loaded = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
+    assert loaded.stdout == "[]\n"
 
 
 class TestTrace:

@@ -410,9 +410,8 @@ def test_verify_maps_and_inverts_each_member_once(monkeypatch, text, kind, sched
 
 def test_verification_builds_no_diagram_or_trace(monkeypatch):
     # verify_bijection reads only preimages, so inv_osweep builds none of
-    # the inversion pipeline's diagrams, traces or result objects, by any
-    # constructor: ``__init__``, the trusted ``_trusted`` of paths and
-    # diagrams, or the records' ``sweepmap.invert._record``
+    # the inversion pipeline's diagrams, traces or result objects, by either
+    # constructor: ``__init__`` or the records' trusted ``_make``
     built = []
 
     def counting(name, constructor):
@@ -424,10 +423,8 @@ def test_verification_builds_no_diagram_or_trace(monkeypatch):
 
     for cls in (Path, PathDiagram, VibTrace, HPathRound, InversionResult):
         monkeypatch.setattr(cls, "__init__", counting(lambda self, *_: type(self).__name__, cls.__init__))
-    for cls in (Path, PathDiagram):
-        trusted = counting(lambda *_, cls=cls: cls.__name__, cls._trusted)
-        monkeypatch.setattr(cls, "_trusted", staticmethod(trusted))
-    monkeypatch.setattr(sweepmap.invert, "_record", counting(lambda cls: cls.__name__, sweepmap.invert._record))
+    make = counting(lambda cls: cls.__name__, sweepmap.paths._Record._make.__func__)
+    monkeypatch.setattr(sweepmap.paths._Record, "_make", classmethod(make))
     monkeypatch.setattr(HPathLabel, "__new__", counting(lambda cls, *_: cls.__name__, HPathLabel.__new__))
     for path in (Path((1, 1, -1, -1)), Path((1, -1, -1))):
         invert_pipeline(path, REVERSE).hpath_trace.rounds[0].labels

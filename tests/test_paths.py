@@ -5,18 +5,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sweepmap import (
+    DEFAULT_CAP,
+    REVERSE,
     EnumerationSpec,
+    HPathRound,
+    HPathTrace,
+    InversionResult,
     ParseError,
     Path,
     PathDiagram,
     PathKind,
+    PermSchedule,
     PreconditionError,
     StepMultiset,
+    VerificationReport,
+    VibTrace,
     connected_diagram,
     enumerate_paths,
+    invert_pipeline,
     is_balanced,
     minimal_diagram,
     row_counts,
+    verify_bijection,
 )
 from helpers import (
     loop_connected_ranks,
@@ -265,3 +275,106 @@ class TestDiagramType:
 
     def test_type_of(self, fig_path):
         assert fig_path.type_of() == StepMultiset.from_text("2^2,1,0,-2,-3")
+
+
+# The value records: each case builds one record afresh on every call and
+# gives the repr it must have.  The inversion's records come from the
+# pipeline on the path 1,-1, so the library's own construction is covered.
+ONE_UP_ONE_DOWN = StepMultiset({1: 1, -1: 1})
+RECORDS = {
+    "Path": (lambda: Path([1, -1]), "Path(steps=(1, -1))"),
+    "PathDiagram": (lambda: PathDiagram((2, -1), (0, 3)), "PathDiagram(steps=(2, -1), ranks=(0, 3))"),
+    "StepMultiset": (lambda: StepMultiset({-1: 2, 1: 2}), "StepMultiset(entries=((1, 2), (-1, 2)))"),
+    "PermSchedule": (lambda: PermSchedule("reverse", REVERSE.rule), "PermSchedule('reverse')"),
+    "VibTrace": (
+        lambda: invert_pipeline(Path((1, -1)), REVERSE).vib_trace,
+        "VibTrace(log=(), initial_ranks=(0, 1), final_ranks=(0, 1))",
+    ),
+    "HPathRound": (
+        lambda: invert_pipeline(Path((1, -1)), REVERSE).hpath_trace.rounds[0],
+        "HPathRound(k=1, order=(0, 1), stop_reason='completed', "
+        "diagram_after=PathDiagram(steps=(1, -1), ranks=(0, 1)), number=1)",
+    ),
+    "HPathTrace": (
+        lambda: invert_pipeline(Path((1, -1)), REVERSE).hpath_trace,
+        "HPathTrace(rounds=(HPathRound(k=1, order=(0, 1), stop_reason='completed', "
+        "diagram_after=PathDiagram(steps=(1, -1), ranks=(0, 1)), number=1),))",
+    ),
+    "InversionResult": (
+        lambda: invert_pipeline(Path((1, -1)), REVERSE),
+        "InversionResult(preimage=Path(steps=(1, -1)), "
+        "minimal=PathDiagram(steps=(1, -1), ranks=(0, 1)), balanced=PathDiagram(steps=(1, -1), ranks=(0, 1)), "
+        "vib_trace=VibTrace(log=(), initial_ranks=(0, 1), final_ranks=(0, 1)), "
+        "hpath_trace=HPathTrace(rounds=(HPathRound(k=1, order=(0, 1), stop_reason='completed', "
+        "diagram_after=PathDiagram(steps=(1, -1), ranks=(0, 1)), number=1),)))",
+    ),
+    "EnumerationSpec": (
+        lambda: EnumerationSpec(ONE_UP_ONE_DOWN, PathKind.DYCK),
+        "EnumerationSpec(multiset=StepMultiset(entries=((1, 1), (-1, 1))), kind=<PathKind.DYCK: 'dyck'>, cap=1000000)",
+    ),
+    "VerificationReport": (
+        lambda: verify_bijection(EnumerationSpec(ONE_UP_ONE_DOWN, PathKind.DYCK), REVERSE),
+        "VerificationReport(family='1,-1', kind='dyck', size=1, schedule='reverse', injective=True, "
+        "closed=True, roundtrip=True, passed=True, counterexample=None)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_contract(name):
+    make, text = RECORDS[name]
+    record, twin = make(), make()
+    assert type(record).__name__ == name and record is not twin
+    assert repr(record) == text
+    if name == "PermSchedule":  # compares by identity
+        assert record != twin and record == record and hash(record) == hash(record)
+    else:
+        assert record == twin and hash(record) == hash(twin)
+    # fields are read-only, and no other attribute can be set
+    field = text[text.index("(") + 1:].split("=")[0] if "=" in text else "name"
+    before = getattr(record, field)
+    for attribute in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+    # another class with the same fields is unequal either way round
+    other = object.__new__(type("Other", (type(record),), {}))
+    vars(other).update(vars(record))
+    assert getattr(other, field) is before
+    assert other != record and record != other
+
+
+def test_record_constructors_keep_their_signatures():
+    assert Path().steps == () and StepMultiset().entries == ()
+    result = invert_pipeline(Path((1, -1)), REVERSE)
+    names = ("preimage", "minimal", "balanced", "vib_trace", "hpath_trace")
+    assert InversionResult(*(getattr(result, name) for name in names)) == result
+    rounds = result.hpath_trace.rounds
+    assert HPathTrace(rounds=rounds) == HPathTrace(rounds) == result.hpath_trace
+    assert HPathRound(1, (0, 1), "completed", result.balanced, number=1) == rounds[0]
+    assert VibTrace((), final_ranks=(0, 1), initial_ranks=(0, 1)) == result.vib_trace
+    with pytest.raises(TypeError):
+        VibTrace((), (0, 1))
+    with pytest.raises(TypeError):
+        HPathTrace(rounds, rounds=rounds)
+    with pytest.raises(TypeError):
+        HPathTrace(rounds, ())
+    with pytest.raises(TypeError):
+        HPathTrace(rounds=rounds, labels=())
+    # the defaults: a spec's cap and a report's counterexample
+    spec = EnumerationSpec(multiset=ONE_UP_ONE_DOWN, kind=PathKind.DYCK)
+    assert spec.cap == DEFAULT_CAP and spec == EnumerationSpec(ONE_UP_ONE_DOWN, PathKind.DYCK, DEFAULT_CAP)
+    fields = dict(family="1,-1", kind="dyck", size=1, schedule="reverse", injective=True, closed=True,
+                  roundtrip=True, passed=True)
+    report = VerificationReport(**fields)
+    assert report.counterexample is None and report == verify_bijection(spec, REVERSE)
+    assert VerificationReport(*fields.values(), "1,-1").counterexample == "1,-1"
+    # and a spec still refuses what it refused
+    with pytest.raises(PreconditionError, match="cap must be positive"):
+        EnumerationSpec(ONE_UP_ONE_DOWN, PathKind.DYCK, cap=0)
+    with pytest.raises(PreconditionError, match="cannot enumerate kind 'other'"):
+        EnumerationSpec(ONE_UP_ONE_DOWN, PathKind.OTHER)
+    with pytest.raises(PreconditionError, match="zero-sum"):
+        EnumerationSpec(StepMultiset({1: 1}), PathKind.FREE)

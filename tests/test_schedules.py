@@ -135,6 +135,14 @@ class TestTables:
         with pytest.raises(ScheduleError):
             table_schedule({0: []})
 
+    def test_entries_must_be_ints(self):
+        # floats and bools equal to 1..k, and entries that are no sequence
+        for entry in ([2.0, 1], [True, 2], ["1", 2], 5, None, {2: 0, 1: 0}):
+            with pytest.raises(ScheduleError):
+                table_schedule({2: entry})
+        with pytest.raises(ScheduleError):
+            PermSchedule("f", lambda k: [1.0] * k).perm(1)
+
     def test_default_is_reverse(self):
         s = table_schedule({2: [1, 2]})
         assert s.perm(3) == (3, 2, 1)
