@@ -7,7 +7,8 @@ inversion.  The enumeration is lexicographic with prefix pruning, so
 hopeless prefixes are abandoned as soon as the height condition fails.
 Verification runs both maps on the members' step tuples, through the
 kernels behind ``osweep`` and ``inv_osweep``, memoized by those tuples;
-the enumerator builds its one :class:`Path` per member.
+members are inverted as of the family's kind, which the enumerator marks
+on each member's unchecked :class:`Path`.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ def enumerate_paths(spec: EnumerationSpec) -> Iterator[Path]:
     left = [counts[v] for v in values]
     size = spec.multiset.size
     pruned = spec.kind is not PathKind.FREE
+    kind = spec.kind if pruned else None  # the pruned walk keeps to the family's kind
     level = 0 if spec.kind is not PathKind.INCOMPLETE else -spec.multiset.total
     prefix: list[int] = []
     picks: list[int] = []  # index into ``values`` of each prefix step
@@ -77,7 +79,7 @@ def enumerate_paths(spec: EnumerationSpec) -> Iterator[Path]:
                     f"family {spec.multiset.to_text()!r} ({spec.kind.value}) "
                     f"exceeds the cap of {spec.cap} paths"
                 )
-            yield Path(prefix)
+            yield Path._make(steps=tuple(prefix), _kind=kind)
         else:
             while i < len(values) and (left[i] == 0 or pruned and level + values[i] < 0):
                 i += 1
@@ -182,10 +184,11 @@ def verify_bijection(spec: EnumerationSpec, schedule: PermSchedule) -> Verificat
         raise PreconditionError(
             f"verification covers dyck and incomplete families, not {spec.kind.value!r}"
         )
-    forward = cache(lambda steps: _osweep(steps, schedule))
-    backward = cache(lambda steps: _inverse(steps, _kind_of(steps), schedule))
     members = [p.steps for p in enumerate_paths(spec)]
-    family = set(members)
+    # every member has the family's kind; only a path outside it is classified
+    family = dict.fromkeys(members, spec.kind)
+    forward = cache(lambda steps: _osweep(steps, schedule))
+    backward = cache(lambda steps: _inverse(steps, family.get(steps) or _kind_of(steps), schedule))
     images = [forward(p) for p in members]
     injective = len(set(images)) == len(members)
     closed = all(image in family for image in images)

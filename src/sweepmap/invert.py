@@ -26,7 +26,9 @@ valid, so :func:`hpath`, :func:`is_stable` and ``_inverse`` build the row
 count's jumps (:func:`sweepmap.paths._jumps`, which
 :func:`~sweepmap.paths.row_counts` and :func:`~sweepmap.paths.is_balanced`
 read too) only to refuse or to restart; ``_inverse`` labels from
-balancing's final ranks and column pointers.  Balancing makes its unit
+balancing's final ranks and the column pointers its kernel returns as they
+are: the row kernel's list indexed by height, or the step-function
+kernel's dictionary keyed by height.  Balancing makes its unit
 moves in runs, raising one column over as many rows as the unit rule would
 in a row.  A run finds its column in O(1)
 from a pointer to the rightmost column at each height, and its working row
@@ -280,12 +282,15 @@ def _refuse(op: str, steps: tuple[int, ...], ranks: list[int], dyck: bool = True
         raise PreconditionError(f"{op} input rejected: " + "; ".join(problems))
 
 
-def _balance(steps: tuple[int, ...], ranks: list[int]) -> tuple[list[int], dict[int, int]]:
+def _balance(steps: tuple[int, ...], ranks: list[int]) -> tuple[list[int], list[int] | dict[int, int]]:
     """The balancing of :func:`vib` on plain lists: raise ``ranks`` in place,
     and return the log and the rightmost column at each height the final
     ranks hold (at other heights a pointer may be stale: -1 or a column now
-    elsewhere).  The input, a Dyck path's steps on weakly increasing ranks
-    with no arrow ending below zero, is not checked here.
+    elsewhere, or missing), as the kernel keeps them: a list whose slot
+    ``i`` holds height ``lo + i`` from :func:`_balance_rows`, a dictionary
+    keyed by height from :func:`_balance_steps`.  The input, a Dyck path's
+    steps on weakly increasing ranks with no arrow ending below zero, is
+    not checked here.
 
     The rows balancing touches lie between the lowest start less the
     largest down step and the top rank plus the up steps (a bound on the
@@ -318,12 +323,12 @@ def _balance(steps: tuple[int, ...], ranks: list[int]) -> tuple[list[int], dict[
 
 def _balance_rows(
     steps: tuple[int, ...], ranks: list[int], cap: int, lo: int, size: int
-) -> tuple[list[int], dict[int, int]]:
+) -> tuple[list[int], list[int]]:
     """:func:`_balance` with the row counts and column pointers in lists of
     ``size`` slots, built from the columns: slot ``i`` holds height
     ``lo + i``, and the ranks are shifted by ``-lo`` meanwhile.  The last
     slot's count is a sentinel 1 that ends the upward search for the
-    working row."""
+    working row.  The pointer list is returned as it ends."""
     if lo:
         ranks[:] = [r - lo for r in ranks]
     count = [0] * size
@@ -419,10 +424,9 @@ def _balance_rows(
 
     count[sentinel] = 0
     _check(not any(count), "balancing stopped with a nonzero row count")
-    pointers = list(map(rightmost.__getitem__, ranks))
     if lo:
         ranks[:] = [r + lo for r in ranks]
-    return log, dict(zip(ranks, pointers))
+    return log, rightmost
 
 
 def _balance_steps(steps: tuple[int, ...], ranks: list[int], cap: int) -> tuple[list[int], dict[int, int]]:
@@ -576,13 +580,17 @@ def vib(diagram: PathDiagram) -> tuple[PathDiagram, VibTrace]:
 
 
 def _label(
-    steps: tuple[int, ...], ranks: Sequence[int], rightmost: dict[int, int], inverse: tuple[int, ...]
+    steps: tuple[int, ...], ranks: Sequence[int], rightmost: list[int] | dict[int, int],
+    inverse: tuple[int, ...],
 ) -> tuple[list[int], list[bool], int]:
     """One labeling round of :func:`hpath` on plain lists, whose height-zero
     columns are the first ``len(inverse)``; it consumes the ``rightmost``
-    pointers.  Returns the columns in label order, which columns are
-    labeled, and the height the walk stopped at; the round completed when
-    every column is labeled."""
+    pointers, in either form :func:`_balance` returns, read by indexing.  A
+    height with no pointer (a ``LookupError``) or a stale one ends the
+    walk; so does a height below zero, whose list slot counts from the end
+    and so is stale, as no rank is negative.  Returns the columns in label
+    order, which columns are labeled, and the height the walk stopped at;
+    the round completed when every column is labeled."""
     labeled = [False] * len(steps)
     order: list[int] = []
     k = len(inverse)
@@ -598,7 +606,10 @@ def _label(
                 # column; a hit here means corrupted input or schedule.
                 raise InvariantViolation(f"height-zero selection landed on already-labeled column {j + 1}")
         else:
-            j = rightmost.get(level, -1)
+            try:
+                j = rightmost[level]
+            except LookupError:  # no pointer at that height
+                break
             if j < 0 or ranks[j] != level:
                 break
             rightmost[level] = j - 1
@@ -609,21 +620,17 @@ def _label(
 
 
 def _first_round(
-    steps: tuple[int, ...], ranks: list[int], schedule: PermSchedule, rightmost: dict[int, int] | None = None
+    steps: tuple[int, ...], ranks: list[int], schedule: PermSchedule
 ) -> tuple[list[int], list[bool], int]:
     """The first labeling round, as :func:`_label` returns it, once the
     diagram passed :func:`hpath`'s input check, which refuses it otherwise.
     The round runs on steps that sum to zero and ranks that weakly increase
     from zero or above; if it completes, it walks from zero through every
     arrow, each starting where the last ended, back to zero, so the start
-    and end heights agree and none is below zero: the check would pass.
-    ``rightmost`` (built if not given) holds the column pointers
-    :func:`_label` consumes."""
+    and end heights agree and none is below zero: the check would pass."""
     if not sum(steps) and ranks == sorted(ranks) and (not ranks or ranks[0] >= 0):
         k = bisect_right(ranks, 0)  # the ranks increase from 0: columns 0..k-1 are at 0
-        if rightmost is None:
-            rightmost = {r: j for j, r in enumerate(ranks)}
-        labeling = _label(steps, ranks, rightmost, schedule.inverse_perm(k))
+        labeling = _label(steps, ranks, {r: j for j, r in enumerate(ranks)}, schedule.inverse_perm(k))
         if len(labeling[0]) == len(steps):
             return labeling
     # steps that do not sum to zero leave a row count nonzero, so input that
@@ -782,10 +789,13 @@ def _inverse(steps: tuple[int, ...], kind: PathKind, schedule: PermSchedule) -> 
     ranks = _minimal_ranks(dyck)
     # minimal ranks increase from zero up and end at or above zero, and the
     # kind makes the completion a Dyck path, so balancing's input needs no
-    # check
+    # check, and the row kernel's pointer list is indexed by height
     _, rightmost = _balance(dyck, ranks)
-    order = _first_round(dyck, ranks, schedule, rightmost)[0]
-    if len(order) == len(dyck):
-        preimage = tuple([dyck[j] for j in order])
-        return preimage if dyck is steps else _strip(preimage)
+    # screened as :func:`_first_round` screens; the completion sums to zero
+    if ranks == sorted(ranks) and (not ranks or ranks[0] >= 0):
+        order = _label(dyck, ranks, rightmost, schedule.inverse_perm(bisect_right(ranks, 0)))[0]
+        if len(order) == len(dyck):
+            preimage = tuple([dyck[j] for j in order])
+            return preimage if dyck is steps else _strip(preimage)
+    _refuse("hpath", dyck, ranks)
     raise InvariantViolation("balanced diagram from the minimal placement was not stable")

@@ -111,7 +111,8 @@ def table_schedule(
     fallback = builtin(default)
     frozen: dict[int, tuple[int, ...]] = {}
     for k, perm in table.items():
-        k = int(k)
+        if type(k) is bool or not isinstance(k, int):
+            raise ScheduleError(f"table key must be an int size, got {k!r}")
         if k < 1:
             raise ScheduleError(f"table key must be a positive size, got {k}")
         frozen[k] = _validate_permutation(perm, k, f"table entry for k={k}")

@@ -258,17 +258,22 @@ def balance_with_both_kernels(diagram):
     final = list(ranks)
     log, pointers = _balance_steps(steps, final, cap)
 
-    def read(pointers, height):
-        # as _label reads a pointer: a column at that height, or none
-        j = pointers.get(height, -1)
+    def read(pointers, height, lo=0):
+        # as _label reads a pointer, by indexing: a column at that height, or
+        # none; the row kernel's list holds height ``lo + i`` in slot ``i``
+        try:
+            j = pointers[height - lo]
+        except LookupError:
+            return -1
         return j if j >= 0 and final[j] == height else -1
 
     by_rows = list(ranks)
     row_log, row_pointers = _balance_rows(steps, by_rows, cap, lo, size)
     assert row_log == log
     assert by_rows == final
+    assert len(row_pointers) == size
     for height in range(lo, lo + size):
-        assert read(row_pointers, height) == read(pointers, height)
+        assert read(row_pointers, height, lo) == read(pointers, height)
     assert tuple(final) == ref_vib(steps, diagram.ranks)[0]
     return log
 

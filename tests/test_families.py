@@ -353,6 +353,22 @@ class TestVerifyCatchesBrokenMaps:
         assert report.counterexample == m[2].to_text() == "1,1,-1,-1,1,-1"
         assert report.as_record()["counterexample"] == "1,1,-1,-1,1,-1"
 
+    def test_image_of_another_kind_outside_family(self, monkeypatch):
+        # an image outside the family is inverted as of its own kind, here
+        # incomplete, not as of the Dyck family's
+        m = self.M
+        report = self.verify(forward=_patched(monkeypatch, "osweep", {m[2]: Path((1, -1, -1))}))
+        assert report.injective and not report.closed
+        assert not report.roundtrip and not report.passed
+        assert report.counterexample == m[2].to_text() == "1,1,-1,-1,1,-1"
+
+    def test_image_the_map_does_not_take_is_refused(self, monkeypatch):
+        # an image of neither kind reaches the inversion's own refusal
+        m = self.M
+        _patched(monkeypatch, "osweep", {m[2]: Path((-1, 1))})
+        with pytest.raises(PreconditionError, match="^inversion takes dyck or incomplete paths; '-1,1'"):
+            verify_bijection(spec("1^3,-1^3", PathKind.DYCK), REVERSE)
+
     def test_only_closure_fails_at_the_counterexample(self, monkeypatch):
         m = self.M
         outside = Path((2, -1, -1))
@@ -406,6 +422,26 @@ def test_verify_maps_and_inverts_each_member_once(monkeypatch, text, kind, sched
     report = verify_bijection(spec(text, kind), schedule)
     assert report.passed and report.size == family_size(spec(text, kind)) > 1
     assert calls == dict.fromkeys(maps, report.size)
+
+
+def test_verification_classifies_no_member(monkeypatch):
+    # every member, and so every image of a passing family, has the
+    # family's kind; only strip's check on an incomplete preimage classifies
+    callers = []
+    real = sweepmap.paths._kind_of
+
+    def counting(steps):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(steps)
+
+    for module in (sweepmap.paths, sweepmap.invert, families_module):
+        monkeypatch.setattr(module, "_kind_of", counting)
+    families = {"1^4,-1^4": PathKind.DYCK, "2,1^2,-1^3,-2": PathKind.INCOMPLETE}
+    for (text, kind), schedule in zip(families.items(), (CYCLE, IDENTITY)):
+        report = verify_bijection(spec(text, kind), schedule)
+        assert report.passed
+        assert callers == (["_strip"] * report.size if kind is PathKind.INCOMPLETE else [])
+        callers.clear()
 
 
 def test_verification_builds_no_diagram_or_trace(monkeypatch):

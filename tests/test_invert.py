@@ -2,6 +2,7 @@ import inspect
 import random
 import time
 import tracemalloc
+from bisect import bisect_right
 
 import pytest
 
@@ -264,6 +265,41 @@ def test_labeling_refusals_name_every_problem(steps, ranks, problems):
             with pytest.raises(PreconditionError) as refused:
                 run(PathDiagram(steps, ranks), schedule)
             assert str(refused.value) == "hpath input rejected: " + problems
+
+
+# (steps, ranks, a pointer list indexed by height, where the walk stops,
+# whether it labels every column); the dictionary is the ranks' own
+LABEL_POINTERS = [
+    ((1, -1, 1, -1), (0, 1, 2, 3), [0, 1, 2, 3], 0, False),  # stranded at zero
+    ((1, 3, -4), (0, 1, 3), [0, 1, -1, 2], 4, False),  # past the list's end
+    ((1, 3, -4), (0, 1, 3), [0, 1, -1, 2, 2], 4, False),  # a stale pointer
+    ((1, 1, -2), (0, 1, 1), [0, 2], -1, False),  # below zero: a slot from the end
+    ((1, 3, -4), (0, 1, 4), [0, 1, -1, 1, 2], 0, True),  # completed past a stale pointer
+]
+
+
+@pytest.mark.parametrize("steps,ranks,pointers,stop,completed", LABEL_POINTERS)
+def test_labeling_reads_a_pointer_list_as_a_dictionary(steps, ranks, pointers, stop, completed):
+    # the row kernel's pointer list labels as the dictionary of the heights
+    # the ranks hold does, with the same order, labels and stopping height
+    inverse = REVERSE.inverse_perm(bisect_right(ranks, 0))
+    by_list = sweepmap.invert._label(steps, ranks, list(pointers), inverse)
+    assert by_list == sweepmap.invert._label(steps, ranks, {r: j for j, r in enumerate(ranks)}, inverse)
+    assert by_list[2] == stop and (len(by_list[0]) == len(steps)) == completed
+
+
+@pytest.mark.parametrize("steps", [(2, 1, -2, 2, 0, -3), (3, -1, 2, -2, 1, -3), (5, 2, -1, -3, 1, -4), (2, -1, -1)])
+def test_labeling_reads_the_row_kernels_pointers(steps):
+    # balancing's own list, stale slots and all, labels as the dictionary
+    # of its final ranks does, and the round completes
+    ranks = sweepmap.invert._minimal_ranks(steps)
+    _, pointers = sweepmap.invert._balance(steps, ranks)
+    assert isinstance(pointers, list) and len(pointers) > max(ranks)
+    for schedule in SCHEDULES:
+        inverse = schedule.inverse_perm(bisect_right(ranks, 0))
+        by_list = sweepmap.invert._label(steps, ranks, list(pointers), inverse)
+        assert by_list == sweepmap.invert._label(steps, ranks, {r: j for j, r in enumerate(ranks)}, inverse)
+        assert len(by_list[0]) == len(steps)
 
 
 class TestHPath:

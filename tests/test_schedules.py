@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -142,6 +143,13 @@ class TestTables:
                 table_schedule({2: entry})
         with pytest.raises(ScheduleError):
             PermSchedule("f", lambda k: [1.0] * k).perm(1)
+
+    @pytest.mark.parametrize("key,perm", [(2.5, [2, 1]), (True, [1]), ("3", [2, 3, 1])], ids=repr)
+    def test_keys_must_be_ints(self, key, perm):
+        # neither truncated, nor read as 1, nor parsed: only the JSON form
+        # parses its string keys, before it builds the table
+        with pytest.raises(ScheduleError, match=re.escape(f"table key must be an int size, got {key!r}")):
+            table_schedule({key: perm})
 
     def test_default_is_reverse(self):
         s = table_schedule({2: [1, 2]})
